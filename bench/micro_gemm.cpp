@@ -42,10 +42,18 @@
 // im2col + gemm path on the same warm fused footing —
 // `conv_implicit_speedup` must clear 1.15x in CI and `identical` asserts
 // the two paths agree bit-for-bit.
+//
+// The "sigmoid" section times the seed's scalar sigmoid expression on
+// libm's expf against the sigmoid() array kernel (tensor/vmath.h) over a
+// fixed seeded 1M-element array with special values spliced in, in ns per
+// element. `identical` asserts the kernel reproduces the expression's
+// bits; `speedup` has an in-run floor keyed on the backend.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -59,12 +67,24 @@
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
+#include "tensor/vmath.h"
 
 namespace {
 
 using namespace advp;
 
 using Clock = std::chrono::steady_clock;
+
+// The seed repository's sigmoid, on libm's expf: the sigmoid section's
+// baseline and bit-identity reference.
+float seed_sigmoid(float x) {
+  if (x >= 0.f) {
+    const float e = std::exp(-x);
+    return 1.f / (1.f + e);
+  }
+  const float e = std::exp(x);
+  return e / (1.f + e);
+}
 
 // The seed repository's matmul inner loop (i-k-j with the zero skip),
 // kept verbatim as the performance baseline.
@@ -549,6 +569,37 @@ int main() {
           ci + 1 < cases.size() ? "," : "");
       run.manifest().set(std::string(cc.name) + "_implicit_speedup", speedup);
     }
+  }
+  // Seed scalar sigmoid vs the array kernel, single thread, over N(0, 8^2)
+  // activations with every 4096th element replaced by a special value
+  // (signed zeros, |x| = 88 and 103.9, infinities, NaN, a denormal), so
+  // the chunks that fall back to the scalar path are part of the timing.
+  std::printf("  ],\n  \"sigmoid\": [\n");
+  {
+    constexpr std::size_t kN = std::size_t{1} << 20;
+    Rng xr(930);
+    Tensor x = Tensor::randn({static_cast<int>(kN)}, xr, 8.f);
+    const float inf = std::numeric_limits<float>::infinity();
+    const float special[] = {0.f, -0.f, 88.f, -88.f, 103.9f, -103.9f,
+                             inf, -inf, std::nanf(""), 1e-40f, -1e-40f};
+    const std::size_t n_special = sizeof(special) / sizeof(special[0]);
+    for (std::size_t i = 0; i < kN / 4096; ++i)
+      x[i * 4096 + 7] = special[i % n_special];
+    Tensor y_seed({static_cast<int>(kN)}), y_kernel({static_cast<int>(kN)});
+    const double seed_ms = best_ms(7, [&] {
+      for (std::size_t i = 0; i < kN; ++i) y_seed[i] = seed_sigmoid(x[i]);
+    });
+    const double kernel_ms =
+        best_ms(7, [&] { sigmoid(x.data(), y_kernel.data(), kN); });
+    const bool identical =
+        std::memcmp(y_seed.data(), y_kernel.data(), kN * sizeof(float)) == 0;
+    const double speedup = seed_ms / kernel_ms;
+    std::printf(
+        "    {\"name\": \"sigmoid_1m\", \"n\": %zu, \"seed_ns\": %.3f, "
+        "\"kernel_ns\": %.3f, \"speedup\": %.2f, \"identical\": %s}\n",
+        kN, seed_ms * 1e6 / kN, kernel_ms * 1e6 / kN, speedup,
+        identical ? "true" : "false");
+    run.manifest().set("sigmoid_speedup", speedup);
   }
   std::printf("  ]\n}\n");
   return 0;

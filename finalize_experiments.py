@@ -1,5 +1,9 @@
 #!/usr/bin/env python3
-"""Splices measured bench tables into EXPERIMENTS.md after a bench run."""
+"""Splices measured bench tables into EXPERIMENTS.md after a bench run.
+
+Reads a local bench_output.txt (each binary's stdout under a
+`### build/bench/<name>` header; see EXPERIMENTS.md, "Measured outputs").
+"""
 import re, sys
 
 bench = open('bench_output.txt', errors='replace').read()
@@ -21,7 +25,8 @@ blocks = {
     'ablation_future_work': 'Ablations',
 }
 
-out = ["\n## Appendix: measured outputs (verbatim from bench_output.txt)\n"]
+out = ["\n## Appendix: measured outputs\n\n"
+       "Verbatim bench stdout, spliced in by `finalize_experiments.py`.\n"]
 for binary, label in blocks.items():
     out.append(f"\n### {label} — `bench/{binary}`\n\n```\n{section(binary)}\n```\n")
 

@@ -190,6 +190,12 @@ void set_max_workers(std::size_t n) {
 
 bool in_parallel_region() { return tl_in_region; }
 
+InlineParallelScope::InlineParallelScope() : outer_(tl_in_region) {
+  tl_in_region = true;
+}
+
+InlineParallelScope::~InlineParallelScope() { tl_in_region = outer_; }
+
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body) {
   dispatch(begin, end, 1, kMaxPoolThreads,

@@ -42,8 +42,24 @@ std::size_t max_workers();
 void set_max_workers(std::size_t n);
 
 /// @brief True while executing inside a parallel_for body on any thread
-/// that is part of a multi-worker dispatch.
+/// that is part of a multi-worker dispatch, or inside an
+/// InlineParallelScope.
 bool in_parallel_region();
+
+/// @brief RAII: while alive, parallel_for calls issued on this thread run
+/// inline in index order, as nested calls inside a parallel region do.
+/// Lets a caller run, on its own thread, every chunk a dispatch could
+/// hand it (nn::ExecPlan warms its scratch this way).
+class InlineParallelScope {
+ public:
+  InlineParallelScope();
+  ~InlineParallelScope();
+  InlineParallelScope(const InlineParallelScope&) = delete;
+  InlineParallelScope& operator=(const InlineParallelScope&) = delete;
+
+ private:
+  bool outer_;
+};
 
 /// @brief RAII worker-cap override for tests and benches: applies
 /// set_max_workers(n) now, restores the default on scope exit.

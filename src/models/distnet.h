@@ -46,8 +46,9 @@ class DistNet {
   /// Predicted distances (meters), one per batch image. Eval mode.
   std::vector<float> predict(const Tensor& batch);
 
-  /// Smooth-L1 regression loss on normalized distances; accumulates
-  /// parameter gradients and returns d(loss)/d(input). Optional per-sample
+  /// Smooth-L1 regression loss on normalized distances; returns
+  /// d(loss)/d(input) and, with `train`, accumulates parameter gradients
+  /// (an eval call computes the input gradient only). Optional per-sample
   /// `weights` rescale each frame's contribution (distance-aware
   /// adversarial training — the paper's §V-C2 future-work direction);
   /// empty means uniform.
@@ -58,6 +59,7 @@ class DistNet {
   /// d(sum of predicted distances)/d(input): the white-box oracle for
   /// attacks that push the predicted distance in a chosen direction.
   /// Also fills DistLossGrad::per_item with each image's prediction.
+  /// Eval mode: parameter gradients are left untouched.
   DistLossGrad prediction_grad(const Tensor& batch);
 
   /// Records per-layer activation ranges over `batches` for the int8

@@ -59,8 +59,9 @@ class TinyYolo {
   std::vector<std::vector<Detection>> detect(const Tensor& batch,
                                              float conf_threshold = -1.f);
 
-  /// Detection training loss against ground-truth boxes, with parameter
-  /// gradients accumulated (train mode) and input gradients returned.
+  /// Detection training loss against ground-truth boxes; returns input
+  /// gradients and, with `train`, accumulates parameter gradients (an
+  /// eval call — the attack oracle — computes the input gradient only).
   /// `targets[i]` are the ground-truth boxes of image i.
   InputLossGrad loss_backward(const Tensor& batch,
                               const std::vector<std::vector<Box>>& targets,

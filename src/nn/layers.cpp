@@ -1,5 +1,6 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/check.h"
@@ -46,7 +47,10 @@ Conv2d::Conv2d(int in_channels, int out_channels, int kernel, int stride,
 
 Tensor Conv2d::forward(const Tensor& x, bool train) {
   maybe_record_range(x, &calib_range_);
-  if (train || !InferenceModeScope::active()) x_cache_ = x;
+  if (train || !InferenceModeScope::active()) {
+    x_shape_ = x.shape();
+    x_cache_ = train ? x : Tensor();  // only dW reads x itself
+  }
   // The weight operand's packing is always served through the layer's
   // cache slot: optimizer steps bump the weight generation, so training
   // repacks exactly when the weights actually changed.
@@ -85,7 +89,9 @@ Tensor Conv2d::forward_inference(const Tensor& x, BatchNorm2d* bn, Act act,
 }
 
 Tensor Conv2d::backward(const Tensor& dy) {
-  ADVP_CHECK_MSG(!x_cache_.empty(), "Conv2d::backward before forward");
+  ADVP_CHECK_MSG(!x_shape_.empty(), "Conv2d::backward before forward");
+  if (x_cache_.empty())
+    return conv2d_backward_input(x_shape_, w_.value, dy, spec_, &wpack_bwd_);
   Conv2dGrads g = conv2d_backward(x_cache_, w_.value, dy, spec_, &wpack_bwd_);
   w_.grad += g.dw;
   b_.grad += g.db;
@@ -109,7 +115,10 @@ Tensor Linear::forward(const Tensor& x, bool train) {
   ADVP_CHECK_MSG(x.rank() == 2 && x.dim(1) == in_,
                  "Linear: expected [N," << in_ << "]");
   maybe_record_range(x, &calib_range_);
-  if (train || !InferenceModeScope::active()) x_cache_ = x;
+  if (train || !InferenceModeScope::active()) {
+    backward_ready_ = true;
+    x_cache_ = train ? x : Tensor();  // only dW reads x itself
+  }
   // y = x W^T: the kernel layer reads W transposed while packing, so no
   // transposed copy of the weights is materialized per forward pass. The
   // weights are the GEMM's B operand; their packing persists in the
@@ -151,15 +160,19 @@ Tensor Linear::forward_inference(const Tensor& x, Act act, float slope) {
 }
 
 Tensor Linear::backward(const Tensor& dy) {
-  ADVP_CHECK_MSG(!x_cache_.empty(), "Linear::backward before forward");
+  ADVP_CHECK_MSG(backward_ready_, "Linear::backward before forward");
   ADVP_CHECK(dy.rank() == 2 && dy.dim(1) == out_);
-  // dW = dy^T x ; db = sum rows dy ; dx = dy W
-  Tensor dw({out_, in_});
-  gemm(out_, in_, dy.dim(0), dy.data(), out_, /*trans_a=*/true,
-       x_cache_.data(), in_, /*trans_b=*/false, dw.data(), in_);
-  w_.grad += dw;
-  for (int i = 0; i < dy.dim(0); ++i)
-    for (int j = 0; j < out_; ++j) b_.grad[static_cast<std::size_t>(j)] += dy.at(i, j);
+  // dW = dy^T x ; db = sum rows dy ; dx = dy W. After an eval forward
+  // only dx is computed.
+  if (!x_cache_.empty()) {
+    Tensor dw({out_, in_});
+    gemm(out_, in_, dy.dim(0), dy.data(), out_, /*trans_a=*/true,
+         x_cache_.data(), in_, /*trans_b=*/false, dw.data(), in_);
+    w_.grad += dw;
+    for (int i = 0; i < dy.dim(0); ++i)
+      for (int j = 0; j < out_; ++j)
+        b_.grad[static_cast<std::size_t>(j)] += dy.at(i, j);
+  }
   // dx = dy W — the weights are the dX GEMM's B operand; reuse packing.
   Tensor dx({dy.dim(0), in_});
   GemmExtra extra;
@@ -193,15 +206,24 @@ Tensor ReLU::backward(const Tensor& dy) {
 
 Tensor SiLU::forward(const Tensor& x, bool train) {
   if (train || !InferenceModeScope::active()) x_cache_ = x;
-  return x.map([](float v) { return v * sigmoidf(v); });
+  Tensor y(x.shape());
+  silu(x.data(), y.data(), x.numel());
+  return y;
 }
 
 Tensor SiLU::backward(const Tensor& dy) {
   ADVP_CHECK(dy.same_shape(x_cache_));
   Tensor dx = dy;
-  for (std::size_t i = 0; i < dx.numel(); ++i) {
-    const float s = sigmoidf(x_cache_[i]);
-    dx[i] *= s * (1.f + x_cache_[i] * (1.f - s));
+  // sigmoid(x) is recomputed a stack chunk at a time rather than cached by
+  // forward, which would hold a second activation-sized tensor per layer.
+  constexpr std::size_t kChunk = 256;
+  float s[kChunk];
+  const float* x = x_cache_.data();
+  for (std::size_t i0 = 0; i0 < dx.numel(); i0 += kChunk) {
+    const std::size_t len = std::min(kChunk, dx.numel() - i0);
+    sigmoid(x + i0, s, len);
+    for (std::size_t j = 0; j < len; ++j)
+      dx[i0 + j] *= s[j] * (1.f + x[i0 + j] * (1.f - s[j]));
   }
   return dx;
 }
@@ -255,7 +277,6 @@ BatchNorm2d::BatchNorm2d(int channels, float momentum, float eps)
 
 Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
   ADVP_CHECK(x.rank() == 4 && x.dim(1) == channels_);
-  in_shape_ = x.shape();
   const int n = x.dim(0), c = channels_, h = x.dim(2), w = x.dim(3);
   const std::size_t plane = static_cast<std::size_t>(h) * w;
   Tensor mean({c}), var({c});
@@ -294,8 +315,13 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
         1.f / std::sqrt(var[static_cast<std::size_t>(cc)] + eps_);
 
   Tensor y(x.shape());
-  const bool cache = train || !InferenceModeScope::active();
-  if (cache) xhat_cache_ = Tensor(x.shape());
+  // x-hat is needed only by the train-mode backward; an eval backward is
+  // a per-channel scale.
+  if (train || !InferenceModeScope::active()) {
+    in_shape_ = x.shape();
+    train_cached_ = train;
+    xhat_cache_ = train ? Tensor(x.shape()) : Tensor();
+  }
   for (int i = 0; i < n; ++i)
     for (int cc = 0; cc < c; ++cc) {
       const float m = mean[static_cast<std::size_t>(cc)];
@@ -303,7 +329,7 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
       const float g = gamma_.value[static_cast<std::size_t>(cc)];
       const float bt = beta_.value[static_cast<std::size_t>(cc)];
       const std::size_t base = (static_cast<std::size_t>(i) * c + cc) * plane;
-      if (cache) {
+      if (train) {
         for (std::size_t j = 0; j < plane; ++j) {
           const float xh = (x[base + j] - m) * is;
           xhat_cache_[base + j] = xh;
@@ -316,32 +342,33 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
         }
       }
     }
-  train_cached_ = train;
   return y;
 }
 
 Tensor BatchNorm2d::backward(const Tensor& dy) {
-  ADVP_CHECK(!xhat_cache_.empty() && dy.same_shape(xhat_cache_));
+  ADVP_CHECK(!in_shape_.empty() && dy.shape() == in_shape_);
   const int n = in_shape_[0], c = channels_, h = in_shape_[2],
             w = in_shape_[3];
   const std::size_t plane = static_cast<std::size_t>(h) * w;
   const double cnt = static_cast<double>(n) * static_cast<double>(plane);
   Tensor dx(dy.shape());
   for (int cc = 0; cc < c; ++cc) {
-    double sum_dy = 0.0, sum_dy_xhat = 0.0;
-    for (int i = 0; i < n; ++i) {
-      const std::size_t base = (static_cast<std::size_t>(i) * c + cc) * plane;
-      for (std::size_t j = 0; j < plane; ++j) {
-        sum_dy += dy[base + j];
-        sum_dy_xhat += static_cast<double>(dy[base + j]) * xhat_cache_[base + j];
-      }
-    }
-    gamma_.grad[static_cast<std::size_t>(cc)] += static_cast<float>(sum_dy_xhat);
-    beta_.grad[static_cast<std::size_t>(cc)] += static_cast<float>(sum_dy);
-
     const float g = gamma_.value[static_cast<std::size_t>(cc)];
     const float is = inv_std_cache_[static_cast<std::size_t>(cc)];
     if (train_cached_) {
+      double sum_dy = 0.0, sum_dy_xhat = 0.0;
+      for (int i = 0; i < n; ++i) {
+        const std::size_t base =
+            (static_cast<std::size_t>(i) * c + cc) * plane;
+        for (std::size_t j = 0; j < plane; ++j) {
+          sum_dy += dy[base + j];
+          sum_dy_xhat +=
+              static_cast<double>(dy[base + j]) * xhat_cache_[base + j];
+        }
+      }
+      gamma_.grad[static_cast<std::size_t>(cc)] +=
+          static_cast<float>(sum_dy_xhat);
+      beta_.grad[static_cast<std::size_t>(cc)] += static_cast<float>(sum_dy);
       for (int i = 0; i < n; ++i) {
         const std::size_t base = (static_cast<std::size_t>(i) * c + cc) * plane;
         for (std::size_t j = 0; j < plane; ++j) {
@@ -351,7 +378,8 @@ Tensor BatchNorm2d::backward(const Tensor& dy) {
         }
       }
     } else {
-      // Eval mode: statistics are constants.
+      // Eval mode: statistics are constants, and gamma/beta gradients are
+      // not accumulated (see Module::backward).
       for (int i = 0; i < n; ++i) {
         const std::size_t base = (static_cast<std::size_t>(i) * c + cc) * plane;
         for (std::size_t j = 0; j < plane; ++j) dx[base + j] = g * is * dy[base + j];

@@ -53,7 +53,8 @@ class Conv2d : public Module {
  private:
   Conv2dSpec spec_;
   Param w_, b_;
-  Tensor x_cache_;
+  std::vector<int> x_shape_;  // input shape of the forward to backprop
+  Tensor x_cache_;            // its input, kept only by train forwards
   float calib_range_ = 0.f;
   GemmCacheSlot wpack_fwd_;  // forward weight panels [Cout, patch]
   GemmCacheSlot wpack_bwd_;  // transposed weight panels of the dX GEMM
@@ -91,7 +92,8 @@ class Linear : public Module {
  private:
   int in_ = 0, out_ = 0;
   Param w_, b_;  // w: [out, in]
-  Tensor x_cache_;
+  bool backward_ready_ = false;  // a forward a backward may follow ran
+  Tensor x_cache_;               // its input, kept only by train forwards
   float calib_range_ = 0.f;
   GemmCacheSlot wpack_fwd_;  // W^T as the forward GEMM's B operand
   GemmCacheSlot wpack_bwd_;  // W as the dX GEMM's B operand
@@ -185,7 +187,7 @@ class BatchNorm2d : public Module {
   Param gamma_, beta_;
   Param running_mean_, running_var_;  // zero-grad "buffer" params
   // caches for backward
-  Tensor xhat_cache_;
+  Tensor xhat_cache_;  // train forwards only
   Tensor inv_std_cache_;  // per channel
   std::vector<int> in_shape_;
   bool train_cached_ = false;

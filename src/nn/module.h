@@ -2,9 +2,10 @@
 //
 // Each Module caches whatever it needs in forward() and returns
 // d(loss)/d(input) from backward(). Parameter gradients accumulate into
-// Param::grad until zero_grad(). Exposing input gradients at every layer is
-// a hard requirement of this library: white-box attacks differentiate the
-// loss w.r.t. the *image*, not the weights.
+// Param::grad until zero_grad(), and only after a train-mode forward.
+// Exposing input gradients at every layer is a hard requirement of this
+// library: white-box attacks differentiate the loss w.r.t. the *image*,
+// not the weights.
 #pragma once
 
 #include <memory>
@@ -55,8 +56,11 @@ class Module {
 
   /// Computes the layer output; `train` toggles dropout/batch-norm modes.
   virtual Tensor forward(const Tensor& x, bool train) = 0;
-  /// Propagates d(loss)/d(output) to d(loss)/d(input); accumulates
-  /// parameter gradients. Must be called after a matching forward().
+  /// Propagates d(loss)/d(output) to d(loss)/d(input). Must be called
+  /// after a matching forward(). Parameter gradients accumulate only when
+  /// that forward ran with `train == true`; after an eval forward only the
+  /// input gradient is computed (the white-box oracle case), which skips
+  /// the weight-gradient GEMMs.
   virtual Tensor backward(const Tensor& dy) = 0;
   /// Appends raw pointers to this module's parameters (stable while the
   /// module is alive).

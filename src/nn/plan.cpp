@@ -484,10 +484,16 @@ bool ExecPlan::compile(const std::vector<Module*>& layers,
                  (im.slot_elems[0] + im.slot_elems[1]) * sizeof(float));
   im.compiled = true;
 
-  // Warm-up execute on zeros: packs (or re-validates) every weight slot
-  // and grows the scratch arena to its steady footprint, so the first
-  // real forward is already allocation-free on this thread.
-  im.run(Tensor(in_shape));
+  // Warm-up execute on zeros, every item and column stripe on this
+  // thread: packs (or re-validates) every weight slot and grows this
+  // thread's scratch arena to the largest footprint any chunk of a later
+  // execute can claim here (a per-item GEMM run serially, whose stripe is
+  // at least as wide as any fanned-out one). Steady executes on this
+  // thread are then allocation-free whichever chunks the pool hands it.
+  {
+    InlineParallelScope all_chunks_here;
+    im.run(Tensor(in_shape));
+  }
 
   if (obs::enabled()) {
     obs::PlanRecord rec;
@@ -718,13 +724,9 @@ void ExecPlan::Impl::run(const Tensor& x) {
         }
         break;
       }
-      case OpKind::kSilu: {
-        for (std::size_t j = 0; j < op.out_elems; ++j) {
-          const float v = src[j];
-          dst[j] = v * sigmoidf(v);
-        }
+      case OpKind::kSilu:
+        silu(src, dst, op.out_elems);
         break;
-      }
     }
     src = dst;
   }

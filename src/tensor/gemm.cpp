@@ -10,6 +10,7 @@
 #include "core/obs.h"
 #include "core/parallel.h"
 #include "core/scratch.h"
+#include "tensor/vmath.h"
 
 #if defined(ADVP_SIMD) && defined(__AVX512F__)
 #define ADVP_GEMM_AVX512 1
@@ -20,11 +21,6 @@
 #endif
 
 namespace advp {
-
-// Defined in tensor/ops.cpp. The SiLU epilogue calls the same out-of-line
-// symbol the SiLU layer calls, so the fused and unfused paths run literally
-// the same code per element.
-float sigmoidf(float x);
 
 namespace {
 
@@ -464,9 +460,12 @@ void epilogue_tile(const GemmEpilogue& ep, float* c, int ldc, int row0,
         v = g * xh + bt;
       }
       if constexpr (kAct == Act::kReluLeaky) v = v > 0.f ? v : slope * v;
-      if constexpr (kAct == Act::kSilu) v = v * sigmoidf(v);
       crow[j] = v;
     }
+    // The SiLU epilogue runs the same silu() kernel the SiLU layer and the
+    // plan's SiLU op run, so fused and unfused outputs share their bits.
+    if constexpr (kAct == Act::kSilu)
+      silu(crow, crow, static_cast<std::size_t>(nr));
   }
 }
 

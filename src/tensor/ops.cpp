@@ -246,29 +246,33 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
   return y;
 }
 
-Conv2dGrads conv2d_backward(const Tensor& x, const Tensor& w,
-                            const Tensor& dy, const Conv2dSpec& spec,
-                            GemmCacheSlot* wt_cache) {
-  const int n = x.dim(0), c_in = x.dim(1), h = x.dim(2), wd = x.dim(3);
+namespace {
+
+// Shared body of conv2d_backward and conv2d_backward_input. dX always; dW
+// and db only when `x` is given (then `dw`/`db` receive them).
+Tensor conv_backward(const std::vector<int>& x_shape, const Tensor* x,
+                     const Tensor& w, const Tensor& dy,
+                     const Conv2dSpec& spec, GemmCacheSlot* wt_cache,
+                     Tensor* dw, Tensor* db) {
+  ADVP_CHECK(x_shape.size() == 4);
+  const int n = x_shape[0], c_in = x_shape[1], h = x_shape[2],
+            wd = x_shape[3];
   const int ho = spec.out_h(h), wo = spec.out_w(wd);
   ADVP_CHECK(dy.rank() == 4 && dy.dim(0) == n &&
              dy.dim(1) == spec.out_channels && dy.dim(2) == ho &&
              dy.dim(3) == wo);
   const int patch = c_in * spec.kernel * spec.kernel;
+  const bool param_grads = x != nullptr;
 
-  Conv2dGrads g;
-  g.dx = Tensor({n, c_in, h, wd});
-  g.dw = Tensor({spec.out_channels, c_in, spec.kernel, spec.kernel});
-  g.db = Tensor({spec.out_channels});
-
-  Tensor dwmat({spec.out_channels, patch});
-
+  Tensor dx({n, c_in, h, wd});
   const int pixels = ho * wo;
   const std::size_t x_stride = static_cast<std::size_t>(c_in) * h * wd;
   const std::size_t y_stride =
       static_cast<std::size_t>(spec.out_channels) * pixels;
-  // dW and dX each cost one forward-sized GEMM per item.
-  ADVP_OBS_COUNT(kConv2dFlops, 4ull * n * y_stride * patch);
+  // dX and (with parameter gradients) dW each cost one forward-sized GEMM
+  // per item.
+  ADVP_OBS_COUNT(kConv2dFlops,
+                 (param_grads ? 4ull : 2ull) * n * y_stride * patch);
   // Per-item weight/bias partials computed in parallel (dx planes are
   // disjoint), then reduced on the caller in index order — the same
   // accumulation order as a plain serial loop, so gradients are
@@ -277,8 +281,8 @@ Conv2dGrads conv2d_backward(const Tensor& x, const Tensor& w,
   // per-item column/dcols buffers come from the worker's scratch arena —
   // the steady-state loop performs no heap allocations beyond the
   // returned gradient tensors.
-  std::vector<Tensor> dw_part(static_cast<std::size_t>(n));
-  std::vector<Tensor> db_part(static_cast<std::size_t>(n));
+  std::vector<Tensor> dw_part(param_grads ? static_cast<std::size_t>(n) : 0);
+  std::vector<Tensor> db_part(param_grads ? static_cast<std::size_t>(n) : 0);
   // The dX product reads the same transposed weights for every item; its
   // packing is reusable across items and calls through `wt_cache`. Cache
   // slots are single-owner, so the slot is only handed down when the item
@@ -289,42 +293,67 @@ Conv2dGrads conv2d_backward(const Tensor& x, const Tensor& w,
   dx_extra.a_cache = items_parallel ? nullptr : wt_cache;
   auto item = [&](std::size_t i) {
     const float* dyp = dy.data() + i * y_stride;
-    Tensor dbi({spec.out_channels});
-    for (int oc = 0; oc < spec.out_channels; ++oc) {
-      const float* row = dyp + static_cast<std::size_t>(oc) * pixels;
-      double s = 0.0;
-      for (int j = 0; j < pixels; ++j) s += row[j];
-      dbi[static_cast<std::size_t>(oc)] = static_cast<float>(s);
-    }
-    db_part[i] = std::move(dbi);
     ScratchArena& arena = ScratchArena::local();
     ScratchArena::Frame frame(arena);
-    float* cols =
-        arena.alloc_floats(static_cast<std::size_t>(patch) * pixels);
-    im2col_lower(x.data() + i * x_stride, c_in, h, wd, spec, cols, pixels);
-    // dW_i = dY_i * cols_i^T  [Cout, patch]
-    Tensor dwi({spec.out_channels, patch});
-    gemm(spec.out_channels, patch, pixels, dyp, pixels, /*trans_a=*/false,
-         cols, pixels, /*trans_b=*/true, dwi.data(), patch);
-    dw_part[i] = std::move(dwi);
+    if (param_grads) {
+      Tensor dbi({spec.out_channels});
+      for (int oc = 0; oc < spec.out_channels; ++oc) {
+        const float* row = dyp + static_cast<std::size_t>(oc) * pixels;
+        double s = 0.0;
+        for (int j = 0; j < pixels; ++j) s += row[j];
+        dbi[static_cast<std::size_t>(oc)] = static_cast<float>(s);
+      }
+      db_part[i] = std::move(dbi);
+      float* cols =
+          arena.alloc_floats(static_cast<std::size_t>(patch) * pixels);
+      im2col_lower(x->data() + i * x_stride, c_in, h, wd, spec, cols,
+                   pixels);
+      // dW_i = dY_i * cols_i^T  [Cout, patch]
+      Tensor dwi({spec.out_channels, patch});
+      gemm(spec.out_channels, patch, pixels, dyp, pixels, /*trans_a=*/false,
+           cols, pixels, /*trans_b=*/true, dwi.data(), patch);
+      dw_part[i] = std::move(dwi);
+    }
     // dcols = W^T * dY_i  [patch, Ho*Wo], then scatter back to dx_i
     float* dcols =
         arena.alloc_floats(static_cast<std::size_t>(patch) * pixels);
     gemm(patch, pixels, spec.out_channels, w.data(), patch, /*trans_a=*/true,
          dyp, pixels, /*trans_b=*/false, dcols, pixels, /*accumulate=*/false,
          dx_extra);
-    col2im(dcols, c_in, h, wd, spec, g.dx.data() + i * x_stride);
+    col2im(dcols, c_in, h, wd, spec, dx.data() + i * x_stride);
   };
   if (items_parallel)
     parallel_for(0, static_cast<std::size_t>(n), item);
   else
     for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) item(i);
-  for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
-    dwmat += dw_part[i];
-    g.db += db_part[i];
+  if (param_grads) {
+    Tensor dwmat({spec.out_channels, patch});
+    *db = Tensor({spec.out_channels});
+    for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
+      dwmat += dw_part[i];
+      *db += db_part[i];
+    }
+    *dw = dwmat.reshape({spec.out_channels, c_in, spec.kernel, spec.kernel});
   }
-  g.dw = dwmat.reshape({spec.out_channels, c_in, spec.kernel, spec.kernel});
+  return dx;
+}
+
+}  // namespace
+
+Conv2dGrads conv2d_backward(const Tensor& x, const Tensor& w,
+                            const Tensor& dy, const Conv2dSpec& spec,
+                            GemmCacheSlot* wt_cache) {
+  Conv2dGrads g;
+  g.dx = conv_backward(x.shape(), &x, w, dy, spec, wt_cache, &g.dw, &g.db);
   return g;
+}
+
+Tensor conv2d_backward_input(const std::vector<int>& x_shape,
+                             const Tensor& w, const Tensor& dy,
+                             const Conv2dSpec& spec,
+                             GemmCacheSlot* wt_cache) {
+  return conv_backward(x_shape, nullptr, w, dy, spec, wt_cache, nullptr,
+                       nullptr);
 }
 
 Tensor maxpool2x2_forward(const Tensor& x, std::vector<int>* argmax) {
@@ -444,15 +473,6 @@ Tensor softmax_rows(const Tensor& logits) {
     for (int j = 0; j < k; ++j) p.at(i, j) *= inv;
   }
   return p;
-}
-
-float sigmoidf(float x) {
-  if (x >= 0.f) {
-    const float e = std::exp(-x);
-    return 1.f / (1.f + e);
-  }
-  const float e = std::exp(x);
-  return e / (1.f + e);
 }
 
 }  // namespace advp

@@ -8,6 +8,7 @@
 
 #include "tensor/gemm.h"
 #include "tensor/tensor.h"
+#include "tensor/vmath.h"
 
 namespace advp {
 
@@ -82,6 +83,14 @@ Conv2dGrads conv2d_backward(const Tensor& x, const Tensor& w,
                             const Tensor& dy, const Conv2dSpec& spec,
                             GemmCacheSlot* wt_cache = nullptr);
 
+/// Input gradient only: conv2d_backward(x, ...).dx, bit for bit, from the
+/// input's shape alone — just the dX GEMM and col2im, no im2col of x and
+/// no weight/bias gradients. The backward of an eval-mode forward.
+Tensor conv2d_backward_input(const std::vector<int>& x_shape,
+                             const Tensor& w, const Tensor& dy,
+                             const Conv2dSpec& spec,
+                             GemmCacheSlot* wt_cache = nullptr);
+
 // ---- pooling ---------------------------------------------------------------
 
 /// 2x2 stride-2 max pooling. `argmax` (same shape as output) records the
@@ -105,8 +114,5 @@ Tensor upsample2x_backward(const Tensor& dy);
 
 /// Softmax over the last dimension of a rank-2 tensor [N, K].
 Tensor softmax_rows(const Tensor& logits);
-
-/// Numerically-stable sigmoid.
-float sigmoidf(float x);
 
 }  // namespace advp

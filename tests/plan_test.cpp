@@ -11,6 +11,7 @@
 #include "core/obs.h"
 #include "core/parallel.h"
 #include "core/rng.h"
+#include "core/scratch.h"
 #include "models/distnet.h"
 #include "models/tiny_yolo.h"
 #include "nn/layers.h"
@@ -223,6 +224,41 @@ TEST(PlanCacheTest, WarmExecutionPerformsZeroSteadyAllocations) {
   EXPECT_EQ(obs::counter_value(obs::Counter::kPlanSteadyAllocs), 0u);
   EXPECT_EQ(obs::counter_value(obs::Counter::kPlanCacheHits), 1u);
   obs::enable(false);
+  obs::reset();
+}
+
+// The contract above must not depend on which chunks the pool hands the
+// calling thread. After a compile on a released arena, executes at 4, 2
+// and 1 workers (at 1 this thread runs every item and every full-width
+// column stripe itself) must all grow nothing, round after round.
+TEST(PlanCacheTest, WarmExecutionAllocationFreeForAnyChunkShare) {
+  HookGuard guard;
+  plan_detail::force_plan(1);
+  Rng rng(13);
+  models::TinyYolo model({}, rng);
+  InferenceModeScope inference;
+  PrecisionScope fp32(GemmPrecision::kFp32);
+  for (int batch : {1, 4}) {
+    Rng xr(94 + batch);
+    const Tensor x = Tensor::rand({batch, 3, 48, 48}, xr);
+    for (int round = 0; round < 3; ++round) {
+      ScratchArena::local().release();
+      bump_weight_generation();  // the next forward recompiles here
+      set_max_workers(4);
+      model.forward_raw(x, false);
+      for (std::size_t workers : {4u, 2u, 1u}) {
+        set_max_workers(workers);
+        obs::enable();
+        obs::reset();
+        model.forward_raw(x, false);
+        EXPECT_EQ(obs::counter_value(obs::Counter::kPlanSteadyAllocs), 0u)
+            << "batch " << batch << ", round " << round << ", " << workers
+            << " workers";
+        obs::enable(false);
+      }
+    }
+  }
+  set_max_workers(0);
   obs::reset();
 }
 

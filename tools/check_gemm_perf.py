@@ -40,12 +40,22 @@ Two sections gate the convolution fast paths:
   single-threaded. conv_implicit_speedup must clear CONV_IMPLICIT_MIN on
   every committed conv shape, baseline-relative on top.
 
+One section gates the elementwise kernels:
+
+- "sigmoid": the sigmoid() array kernel vs the seed's scalar expression
+  on libm's expf, single thread, over a fixed seeded 1M-element array
+  with special values. `speedup` is an in-run ratio with a floor keyed on
+  the fresh run's backend (SIGMOID_FLOOR_BY_BACKEND): only AVX-512 builds
+  have a vector route, elsewhere the std::fma scalar must merely not
+  collapse. Not baseline-relative.
+
 Also asserts `identical: true` for every entry: the blocked kernel, the
 fused epilogue, the warm-cache path, both reduced-precision tiers
 (SIMD vs portable micro-kernel), the compiled plan (vs forward_fused,
-autotuned and default blocking alike), and the implicit-im2col packer
-(vs the staged column matrix) must all stay bit-identical to their
-reference passes, on any runner. Exit code 1 on any failure.
+autotuned and default blocking alike), the implicit-im2col packer
+(vs the staged column matrix) and the sigmoid kernel (vs the libm
+expression) must all stay bit-identical to their reference passes, on
+any runner. Exit code 1 on any failure.
 """
 import sys
 
@@ -58,24 +68,31 @@ BF16_PACK_MAX = 0.55  # bf16 panels must stay <= 55% of fp32 pack bytes
 INT8_SPEEDUP_MIN = 1.50  # calibrated int8 must beat warm fp32 by >= 50%
 PLAN_SPEEDUP_MIN = 1.10  # compiled plan must beat forward_fused by >= 10%
 CONV_IMPLICIT_MIN = 1.15  # implicit im2col must beat staged by >= 15%
+# sigmoid kernel vs the libm expression: >= 4x with the AVX-512 route
+# (13.4x recorded), non-collapse for the scalar route of other backends.
+SIGMOID_FLOOR_BY_BACKEND = {"avx512": 4.0}
+SIGMOID_FLOOR_DEFAULT = 0.7
 
-SECTIONS = ("shapes", "fused", "warm_cache", "bf16", "int8", "plan", "conv")
+SECTIONS = ("shapes", "fused", "warm_cache", "bf16", "int8", "plan", "conv",
+            "sigmoid")
 
 
 def load_sections(path):
     root = pc.load(path, nest_key="micro_gemm")
-    return {
+    sections = {
         key: {s["name"]: s for s in root.get(key, [])}
         for key in SECTIONS
     }
+    return sections, root.get("backend", "")
 
 
 def main():
     if len(sys.argv) < 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    fresh = load_sections(sys.argv[1])
-    base = load_sections(sys.argv[2] if len(sys.argv) > 2 else "BENCH_gemm.json")
+    fresh, fresh_backend = load_sections(sys.argv[1])
+    base, _ = load_sections(
+        sys.argv[2] if len(sys.argv) > 2 else "BENCH_gemm.json")
     if not fresh["shapes"] or not base["shapes"]:
         print("error: empty shape list in input", file=sys.stderr)
         return 2
@@ -89,6 +106,7 @@ def main():
         ("int8", "speedup", INT8_SPEEDUP_MIN, "int8 tier"),
         ("plan", "plan_speedup", PLAN_SPEEDUP_MIN, "compiled plan"),
         ("conv", "conv_implicit_speedup", CONV_IMPLICIT_MIN, "implicit im2col"),
+        ("sigmoid", "speedup", None, "sigmoid kernel"),
     ):
         for name, b in sorted(base[section].items()):
             f = fresh[section].get(name)
@@ -107,6 +125,10 @@ def main():
             if section == "warm_cache":
                 # Byte counts are deterministic; the floor is absolute.
                 floor = fixed_min
+            elif section == "sigmoid":
+                floor = pc.backend_floor(fresh_backend,
+                                         SIGMOID_FLOOR_BY_BACKEND,
+                                         SIGMOID_FLOOR_DEFAULT)
             else:
                 floor = pc.baseline_floor(b[ratio_key], fixed_min)
             failures += pc.check_ratio(name, f[ratio_key], floor, ratio_key)

@@ -5,7 +5,7 @@ BENCH_*.json baseline nests the same object under one section key;
 load() handles both spellings. The rest covers the idioms each gate
 script used to re-implement: the machine-keyed worker floor table,
 baseline-relative ratio floors, per-entry ok/FAIL ratio lines, and the
-accumulate-failures-then-report exit protocol.
+accumulate-failures-then-report exit protocol, and backend-keyed floors.
 """
 import json
 
@@ -33,6 +33,11 @@ def throughput_floor(workers, table=FLOOR_BY_WORKERS):
         if workers >= min_workers:
             return floor
     return 0.0
+
+
+def backend_floor(backend, table, default):
+    """In-run ratio floor keyed on the backend a bench run recorded."""
+    return table.get(backend, default)
 
 
 def baseline_floor(base_val, fixed_min=None, tolerance=TOLERANCE):
