@@ -48,6 +48,12 @@
 // fixed seeded 1M-element array with special values spliced in, in ns per
 // element. `identical` asserts the kernel reproduces the expression's
 // bits; `speedup` has an in-run floor keyed on the backend.
+//
+// The "gaussian" section times the seed's scalar Box–Muller loop
+// (Rng::gaussian per element) against the gaussian_fill() array kernel
+// over a fixed seeded 1M-element fill, in ns per element. `identical`
+// asserts equal bits and an equal engine position afterwards; `speedup`
+// has an in-run floor keyed on the backend.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -600,6 +606,34 @@ int main() {
         kN, seed_ms * 1e6 / kN, kernel_ms * 1e6 / kN, speedup,
         identical ? "true" : "false");
     run.manifest().set("sigmoid_speedup", speedup);
+  }
+  // Seed scalar Box–Muller loop vs gaussian_fill, single thread, at the
+  // rendered frames' sensor-noise sigma.
+  std::printf("  ],\n  \"gaussian\": [\n");
+  {
+    constexpr std::size_t kN = std::size_t{1} << 20;
+    constexpr float kSigma = 0.015f;
+    std::vector<float> y_seed(kN), y_kernel(kN);
+    Rng seed_rng(931), kernel_rng(931);
+    const double seed_ms = best_ms(7, [&] {
+      seed_rng = Rng(931);
+      for (std::size_t i = 0; i < kN; ++i)
+        y_seed[i] = static_cast<float>(seed_rng.gaussian(kSigma));
+    });
+    const double kernel_ms = best_ms(7, [&] {
+      kernel_rng = Rng(931);
+      gaussian_fill(y_kernel.data(), kN, kSigma, kernel_rng);
+    });
+    const bool identical =
+        std::memcmp(y_seed.data(), y_kernel.data(), kN * sizeof(float)) == 0 &&
+        seed_rng.engine()() == kernel_rng.engine()();
+    const double speedup = seed_ms / kernel_ms;
+    std::printf(
+        "    {\"name\": \"gaussian_1m\", \"n\": %zu, \"seed_ns\": %.3f, "
+        "\"kernel_ns\": %.3f, \"speedup\": %.2f, \"identical\": %s}\n",
+        kN, seed_ms * 1e6 / kN, kernel_ms * 1e6 / kN, speedup,
+        identical ? "true" : "false");
+    run.manifest().set("gaussian_speedup", speedup);
   }
   std::printf("  ]\n}\n");
   return 0;

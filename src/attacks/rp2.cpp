@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/check.h"
+#include "tensor/vmath.h"
 
 namespace advp::attacks {
 
@@ -18,15 +19,18 @@ struct EnvTransform {
 Tensor apply_transform(const Tensor& x, const EnvTransform& t, float noise,
                        Rng& rng) {
   const int h = x.dim(2), w = x.dim(3);
+  // The sensor noise is drawn up front into `out`, in output order.
   Tensor out({1, 3, h, w});
+  if (noise > 0.f) gaussian_fill(out.data(), out.numel(), noise, rng);
   for (int c = 0; c < 3; ++c)
     for (int y = 0; y < h; ++y)
       for (int xx = 0; xx < w; ++xx) {
         const int sy = std::clamp(y - t.dy, 0, h - 1);
         const int sx = std::clamp(xx - t.dx, 0, w - 1);
         float v = x.at(0, c, sy, sx) * t.gain + t.bias;
-        if (noise > 0.f) v += static_cast<float>(rng.gaussian(noise));
-        out.at(0, c, y, xx) = std::clamp(v, 0.f, 1.f);
+        float& o = out.at(0, c, y, xx);
+        if (noise > 0.f) v += o;
+        o = std::clamp(v, 0.f, 1.f);
       }
   return out;
 }

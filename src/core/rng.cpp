@@ -62,12 +62,17 @@ int Rng::uniform_int(int lo, int hi) {
 }
 
 double Rng::gaussian(double sigma) {
-  // Box–Muller; draws a fixed two engine values per call so the stream
-  // position never depends on rejection luck. u1 in (0, 1] keeps the log
-  // finite.
-  const double u1 =
-      static_cast<double>((engine_() >> 11) + 1) * 0x1.0p-53;
-  const double u2 = to_unit(engine_());
+  // Named draws, not call arguments, so that w1 is drawn first.
+  const std::uint64_t w1 = engine_();
+  const std::uint64_t w2 = engine_();
+  return box_muller(w1, w2, sigma);
+}
+
+double Rng::box_muller(std::uint64_t w1, std::uint64_t w2, double sigma) {
+  // A fixed two engine words per draw, so the stream position never depends
+  // on rejection luck. u1 in (0, 1] keeps the log finite.
+  const double u1 = static_cast<double>((w1 >> 11) + 1) * 0x1.0p-53;
+  const double u2 = to_unit(w2);
   constexpr double kTwoPi = 6.283185307179586476925286766559;
   return sigma * std::sqrt(-2.0 * std::log(u1)) * std::cos(kTwoPi * u2);
 }

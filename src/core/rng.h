@@ -27,7 +27,8 @@ class Rng {
   double uniform(double lo = 0.0, double hi = 1.0);
   /// Uniform integer in [lo, hi] inclusive.
   int uniform_int(int lo, int hi);
-  /// Zero-mean Gaussian with standard deviation `sigma`.
+  /// Zero-mean Gaussian with standard deviation `sigma`: box_muller() of
+  /// the next two engine words.
   double gaussian(double sigma = 1.0);
   /// Bernoulli trial.
   bool coin(double p = 0.5);
@@ -50,6 +51,13 @@ class Rng {
   /// Parallel loops give every item `Rng(Rng::stream_seed(base, i))` so
   /// results do not depend on worker count or execution order.
   static std::uint64_t stream_seed(std::uint64_t base, std::uint64_t index);
+
+  /// The Box–Muller transform gaussian() applies to two engine words, w1
+  /// drawn first: sigma * sqrt(-2 ln u1) * cos(2 pi u2) on libm, with
+  /// u1 = ((w1 >> 11) + 1) 2^-53 in (0, 1] and u2 = (w2 >> 11) 2^-53 in
+  /// [0, 1). The one definition of the library's Gaussian draw; the array
+  /// kernel gaussian_fill (tensor/vmath.h) reproduces its bits.
+  static double box_muller(std::uint64_t w1, std::uint64_t w2, double sigma);
 
  private:
   std::uint64_t bounded(std::uint64_t range);

@@ -6,6 +6,7 @@
 
 #include "core/check.h"
 #include "image/dct.h"
+#include "tensor/vmath.h"
 
 namespace advp {
 
@@ -43,10 +44,12 @@ Image bit_depth_reduce(const Image& img, int bits) {
 }
 
 Image add_gaussian_noise(const Image& img, float sigma, Rng& rng) {
-  Image out = img;
+  // noise + pixel: the same bits as pixel + noise.
+  Image out(img.width(), img.height());
   float* p = out.data();
-  for (std::size_t i = 0; i < out.numel(); ++i)
-    p[i] += static_cast<float>(rng.gaussian(sigma));
+  gaussian_fill(p, out.numel(), sigma, rng);
+  const float* src = img.data();
+  for (std::size_t i = 0; i < out.numel(); ++i) p[i] += src[i];
   return out.clamp01();
 }
 

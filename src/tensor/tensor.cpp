@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "core/check.h"
+#include "tensor/vmath.h"
 
 namespace advp {
 
@@ -33,7 +34,7 @@ Tensor Tensor::full(std::vector<int> shape, float value) {
 
 Tensor Tensor::randn(std::vector<int> shape, Rng& rng, float sigma) {
   Tensor t(std::move(shape));
-  for (auto& v : t.data_) v = static_cast<float>(rng.gaussian(sigma));
+  gaussian_fill(t.data_.data(), t.data_.size(), sigma, rng);
   return t;
 }
 

@@ -30,7 +30,8 @@ class Tensor {
   static Tensor zeros(std::vector<int> shape) { return Tensor(std::move(shape)); }
   static Tensor full(std::vector<int> shape, float value);
   static Tensor ones(std::vector<int> shape) { return full(std::move(shape), 1.f); }
-  /// I.i.d. N(0, sigma^2) entries.
+  /// I.i.d. N(0, sigma^2) entries: rng.gaussian(sigma) per element, in
+  /// order (through gaussian_fill, tensor/vmath.h).
   static Tensor randn(std::vector<int> shape, Rng& rng, float sigma = 1.f);
   /// I.i.d. U[lo, hi) entries.
   static Tensor rand(std::vector<int> shape, Rng& rng, float lo = 0.f,

@@ -1,5 +1,6 @@
 #include "tensor/vmath.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -9,6 +10,10 @@
 #if defined(ADVP_SIMD) && defined(__AVX512F__)
 #define ADVP_VMATH_AVX512 1
 #include <immintrin.h>
+// The Gaussian route also converts between int64 and double lanes.
+#ifdef __AVX512DQ__
+#define ADVP_VMATH_GAUSSIAN 1
+#endif
 #endif
 
 namespace advp {
@@ -121,6 +126,156 @@ std::size_t simd_chunks(const float* x, float* y, std::size_t n, Vec vec,
 }
 #endif
 
+#ifdef ADVP_VMATH_GAUSSIAN
+// ---- Box–Muller on 8 lanes --------------------------------------------
+//
+// Accurate to a few double ulps (tests/vmath_test.cpp pins both within 16
+// ulps of libm), not bit-equal to libm: keep_mask() decides which lanes'
+// floats are provably libm's.
+
+constexpr double inv_factorial(int n) {
+  double f = 1.0;
+  for (int i = 2; i <= n; ++i) f *= i;
+  return 1.0 / f;
+}
+
+// ln m = 2 atanh(f) = 2 (f + f^3/3 + f^5/5 + ...): kAtanh[j] = 1/(2j + 3)
+// multiplies f^(2j+3). On |f| <= 0.1716 the first omitted term, f^23/23,
+// is below 2^-60 of the sum.
+constexpr double kAtanh[10] = {1.0 / 3,  1.0 / 5,  1.0 / 7,  1.0 / 9,
+                               1.0 / 11, 1.0 / 13, 1.0 / 15, 1.0 / 17,
+                               1.0 / 19, 1.0 / 21};
+// Taylor coefficients of sin (r^3 .. r^17) and cos (r^2 .. r^16); on
+// |r| <= pi/4 the first omitted terms are below 0.03 ulp.
+constexpr double kSin[8] = {
+    -inv_factorial(3),  inv_factorial(5),  -inv_factorial(7),
+    inv_factorial(9),   -inv_factorial(11), inv_factorial(13),
+    -inv_factorial(15), inv_factorial(17)};
+constexpr double kCos[8] = {
+    -inv_factorial(2),  inv_factorial(4),  -inv_factorial(6),
+    inv_factorial(8),   -inv_factorial(10), inv_factorial(12),
+    -inv_factorial(14), inv_factorial(16)};
+// ln 2 = kLn2Hi + kLn2Lo; kLn2Hi has 21 trailing zero bits, so k * kLn2Hi
+// is exact for every exponent k.
+constexpr double kLn2Hi = 0x1.62e42fee00000p-1;
+constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
+// pi/2 = kPio2A + kPio2B + kPio2C to 2^-160.
+constexpr double kPio2A = 0x1.921fb54442d18p+0;
+constexpr double kPio2B = 0x1.1a62633145c07p-54;
+constexpr double kPio2C = -0x1.f1976b7ed8fbcp-110;
+constexpr double kTwoOverPi = 0x1.45f306dc9c883p-1;
+// Rng::box_muller's 2 pi, the same double.
+constexpr double kTwoPi = 6.283185307179586476925286766559;
+constexpr std::uint64_t kSqrtHalfBits = 0x3fe6a09e667f3bcd;
+constexpr __mmask8 kAll8 = 0xff;
+
+template <std::size_t N>
+inline __m512d horner(__m512d z, const double (&c)[N]) {
+  __m512d p = _mm512_set1_pd(c[N - 1]);
+  for (std::size_t j = N - 1; j-- > 0;)
+    p = _mm512_fmadd_pd(p, z, _mm512_set1_pd(c[j]));
+  return p;
+}
+
+// ln u for u in [2^-53, 1]: u = 2^k m with m in [sqrt(1/2), sqrt(2)), and
+// ln m = 2 atanh((m - 1) / (m + 1)) with m - 1 exact.
+inline __m512d log8(__m512d u) {
+  const __m512i ix = _mm512_castpd_si512(u);
+  const __m512i k = _mm512_maskz_srai_epi64(
+      kAll8, _mm512_sub_epi64(ix, _mm512_set1_epi64(kSqrtHalfBits)), 52);
+  const __m512d m = _mm512_castsi512_pd(
+      _mm512_sub_epi64(ix, _mm512_maskz_slli_epi64(kAll8, k, 52)));
+  const __m512d one = _mm512_set1_pd(1.0);
+  const __m512d f =
+      _mm512_div_pd(_mm512_sub_pd(m, one), _mm512_add_pd(m, one));
+  const __m512d z = _mm512_mul_pd(f, f);
+  const __m512d f2 = _mm512_add_pd(f, f);
+  const __m512d ln_m =
+      _mm512_fmadd_pd(_mm512_mul_pd(f2, z), horner(z, kAtanh), f2);
+  const __m512d kd = _mm512_maskz_cvtepi64_pd(kAll8, k);
+  return _mm512_fmadd_pd(
+      kd, _mm512_set1_pd(kLn2Hi),
+      _mm512_fmadd_pd(kd, _mm512_set1_pd(kLn2Lo), ln_m));
+}
+
+// cos x for x in [0, 2 pi]: x = q pi/2 + r with q = round(2x/pi) in 0..4
+// (three-part reduction; the first step is exact), then +-cos r or +-sin r
+// on |r| <= pi/4 by quadrant.
+inline __m512d cos8(__m512d x) {
+  const __m512d q = _mm512_maskz_roundscale_pd(
+      kAll8, _mm512_mul_pd(x, _mm512_set1_pd(kTwoOverPi)),
+      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  __m512d r = _mm512_fnmadd_pd(q, _mm512_set1_pd(kPio2A), x);
+  r = _mm512_fnmadd_pd(q, _mm512_set1_pd(kPio2B), r);
+  r = _mm512_fnmadd_pd(q, _mm512_set1_pd(kPio2C), r);
+  const __m512d z = _mm512_mul_pd(r, r);
+  const __m512d sin_r =
+      _mm512_fmadd_pd(_mm512_mul_pd(r, z), horner(z, kSin), r);
+  const __m512d cos_r =
+      _mm512_fmadd_pd(z, horner(z, kCos), _mm512_set1_pd(1.0));
+  // Quadrant q: cos, -sin, -cos, sin, cos.
+  const __m512i qi = _mm512_maskz_cvtpd_epi64(kAll8, q);
+  const __m512d v = _mm512_mask_blend_pd(
+      _mm512_test_epi64_mask(qi, _mm512_set1_epi64(1)), cos_r, sin_r);
+  const __mmask8 negate = _mm512_test_epi64_mask(
+      _mm512_add_epi64(qi, _mm512_set1_epi64(1)), _mm512_set1_epi64(2));
+  return _mm512_castsi512_pd(_mm512_mask_xor_epi64(
+      _mm512_castpd_si512(v), negate, _mm512_castpd_si512(v),
+      _mm512_set1_epi64(std::int64_t{1} << 63)));
+}
+
+// The uniforms of 8 draws: w holds 16 words, w1 then w2 per draw.
+struct Uniforms8 {
+  __m512d u1, u2;
+};
+
+inline Uniforms8 uniforms8(const std::uint64_t* w) {
+  const __m512i a = _mm512_loadu_si512(w);
+  const __m512i b = _mm512_loadu_si512(w + 8);
+  const __m512i even = _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0);
+  const __m512i odd = _mm512_set_epi64(15, 13, 11, 9, 7, 5, 3, 1);
+  const __m512i w1 =
+      _mm512_maskz_srli_epi64(kAll8, _mm512_permutex2var_epi64(a, even, b), 11);
+  const __m512i w2 =
+      _mm512_maskz_srli_epi64(kAll8, _mm512_permutex2var_epi64(a, odd, b), 11);
+  const __m512d scale = _mm512_set1_pd(0x1.0p-53);
+  return {_mm512_mul_pd(_mm512_maskz_cvtepi64_pd(
+                            kAll8, _mm512_add_epi64(w1, _mm512_set1_epi64(1))),
+                        scale),
+          _mm512_mul_pd(_mm512_maskz_cvtepi64_pd(kAll8, w2), scale)};
+}
+
+// Rng::box_muller's double on 8 lanes, in its operation order.
+inline __m512d box_muller8(const std::uint64_t* w, double sigma) {
+  const Uniforms8 u = uniforms8(w);
+  const __m512d s = _mm512_maskz_sqrt_pd(
+      kAll8, _mm512_mul_pd(_mm512_set1_pd(-2.0), log8(u.u1)));
+  const __m512d c = cos8(_mm512_mul_pd(_mm512_set1_pd(kTwoPi), u.u2));
+  return _mm512_mul_pd(_mm512_mul_pd(_mm512_set1_pd(sigma), s), c);
+}
+
+// The guard band. A double's low 29 bits are what rounding to float drops;
+// when they sit more than 2^12 from the tie 2^28, every double within
+// 2^12 ulps of d rounds to d's float, so libm's does (log and cos are a
+// few ulps from libm's, the whole expression well under 2^12). |d| below
+// 2^-120 (float subnormals with margin, signed zeros) and inf/NaN are
+// excluded outright.
+inline __mmask8 keep_mask(__m512d d) {
+  constexpr std::int64_t kTwoPowMinus120 = 0x3870000000000000;
+  const __m512i bits = _mm512_castpd_si512(d);
+  const __m512i mag =
+      _mm512_and_si512(bits, _mm512_set1_epi64(0x7fffffffffffffff));
+  const __mmask8 normal =
+      _mm512_cmpge_epu64_mask(mag, _mm512_set1_epi64(kTwoPowMinus120)) &
+      _mm512_cmplt_epu64_mask(mag, _mm512_set1_epi64(0x7ff0000000000000));
+  const __m512i low = _mm512_and_si512(bits, _mm512_set1_epi64((1 << 29) - 1));
+  const __m512i from_tie = _mm512_maskz_abs_epi64(
+      kAll8, _mm512_sub_epi64(low, _mm512_set1_epi64(1 << 28)));
+  return normal &
+         _mm512_cmpgt_epi64_mask(from_tie, _mm512_set1_epi64(1 << 12));
+}
+#endif
+
 }  // namespace
 
 float exp_f32(float x) {
@@ -171,6 +326,60 @@ void silu(const float* x, float* y, std::size_t n) {
       scalar);
 #endif
   for (; i < n; ++i) y[i] = scalar(x[i]);
+}
+
+
+namespace vmath_detail {
+
+std::size_t gaussian_from_words(const std::uint64_t* w, std::size_t n,
+                                double sigma, float* y) {
+  const auto scalar = [&](std::size_t i) {
+    y[i] = static_cast<float>(Rng::box_muller(w[2 * i], w[2 * i + 1], sigma));
+  };
+  std::size_t i = 0, fallbacks = 0;
+#ifdef ADVP_VMATH_GAUSSIAN
+  if (!gemm_detail::forcing_portable()) {
+    for (; i + 8 <= n; i += 8) {
+      const __m512d d = box_muller8(w + 2 * i, sigma);
+      _mm256_storeu_ps(y + i, _mm512_maskz_cvtpd_ps(kAll8, d));
+      for (unsigned bad = ~keep_mask(d) & 0xffu; bad != 0; bad &= bad - 1) {
+        scalar(i + static_cast<std::size_t>(std::countr_zero(bad)));
+        ++fallbacks;
+      }
+    }
+  }
+#endif
+  for (std::size_t j = i; j < n; ++j) scalar(j);
+  return fallbacks + (n - i);
+}
+
+bool gaussian_parts(const std::uint64_t* w, std::size_t n, double* ln_u1,
+                    double* cos_u2) {
+#ifdef ADVP_VMATH_GAUSSIAN
+  for (std::size_t i = 0; i + 8 <= n; i += 8) {
+    const Uniforms8 u = uniforms8(w + 2 * i);
+    _mm512_storeu_pd(ln_u1 + i, log8(u.u1));
+    _mm512_storeu_pd(cos_u2 + i,
+                     cos8(_mm512_mul_pd(_mm512_set1_pd(kTwoPi), u.u2)));
+  }
+  return true;
+#else
+  (void)w, (void)n, (void)ln_u1, (void)cos_u2;
+  return false;
+#endif
+}
+
+}  // namespace vmath_detail
+
+void gaussian_fill(float* y, std::size_t n, double sigma, Rng& rng) {
+  constexpr std::size_t kChunk = vmath_detail::kGaussianChunk;
+  std::uint64_t words[2 * kChunk];
+  auto& engine = rng.engine();
+  for (std::size_t i = 0; i < n; i += kChunk) {
+    const std::size_t m = std::min(kChunk, n - i);
+    for (std::size_t j = 0; j < 2 * m; ++j) words[j] = engine();
+    vmath_detail::gaussian_from_words(words, m, sigma, y + i);
+  }
 }
 
 }  // namespace advp

@@ -9,9 +9,17 @@
 // array forms run an AVX-512 route (8 doubles per vector) in ADVP_SIMD
 // builds and a std::fma scalar otherwise; both give the same bits, and
 // the portable route is selected at runtime by gemm_detail::force_portable.
+//
+// gaussian_fill is Rng::gaussian over an array. Its AVX-512 route evaluates
+// the Box–Muller expression with in-tree log and cos polynomials and keeps
+// a lane's float only where a guard band proves that libm's double rounds
+// to the same float; every other element runs Rng::box_muller on libm.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+
+#include "core/rng.h"
 
 namespace advp {
 
@@ -35,5 +43,30 @@ void sigmoid(const float* x, float* y, std::size_t n);
 /// @brief y[i] = x[i] * sigmoidf(x[i]) (SiLU) bit for bit, for i < n;
 /// `y == x` is allowed. Chunked like sigmoid().
 void silu(const float* x, float* y, std::size_t n);
+
+/// @brief y[i] = static_cast<float>(rng.gaussian(sigma)) bit for bit, for
+/// i < n, leaving rng where n gaussian() calls would: the same 2n engine
+/// words are drawn in the same order, in chunks of
+/// vmath_detail::kGaussianChunk elements.
+void gaussian_fill(float* y, std::size_t n, double sigma, Rng& rng);
+
+namespace vmath_detail {
+/// Elements per engine-word chunk of gaussian_fill.
+inline constexpr std::size_t kGaussianChunk = 256;
+
+/// @brief gaussian_fill on engine words drawn beforehand: y[i] =
+/// static_cast<float>(Rng::box_muller(w[2i], w[2i + 1], sigma)).
+/// @return How many elements ran Rng::box_muller: the guard band's
+/// fallbacks and the tail of fewer than 8 on the vector route, n on the
+/// portable one.
+std::size_t gaussian_from_words(const std::uint64_t* w, std::size_t n,
+                                double sigma, float* y);
+
+/// @brief The vector route's ln(u1) and cos(2 pi u2) for the uniforms of
+/// the words w (laid out as in gaussian_from_words), n a multiple of 8.
+/// Returns false, writing nothing, in builds without the vector route.
+bool gaussian_parts(const std::uint64_t* w, std::size_t n, double* ln_u1,
+                    double* cos_u2);
+}  // namespace vmath_detail
 
 }  // namespace advp

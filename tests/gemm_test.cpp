@@ -85,12 +85,15 @@ TEST(GemmTest, AccumulateAddsOntoExistingC) {
   gemm(m, n, k, a.data(), k, false, b.data(), n, false, c.data(), n,
        /*accumulate=*/true);
   // Accumulation continues the ascending-k FMA chain from C's prior value.
+  // The reference spells out the fused multiply-adds so that it does not
+  // depend on the compiler contracting a*b+c.
   std::vector<float> want(c0.data(), c0.data() + c0.numel());
   for (int i = 0; i < m; ++i)
     for (int kk = 0; kk < k; ++kk)
-      for (int j = 0; j < n; ++j)
-        want[static_cast<std::size_t>(i) * n + j] +=
-            a.at(i, kk) * b.at(kk, j);
+      for (int j = 0; j < n; ++j) {
+        float& w = want[static_cast<std::size_t>(i) * n + j];
+        w = std::fma(a.at(i, kk), b.at(kk, j), w);
+      }
   for (std::size_t i = 0; i < c.numel(); ++i) ASSERT_EQ(c[i], want[i]);
 }
 

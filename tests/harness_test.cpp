@@ -21,7 +21,9 @@ HarnessConfig tiny_config(const char* tag) {
   cfg.distnet_epochs = 2;
   cfg.sequences_per_bin = 1;
   cfg.frames_per_sequence = 4;
-  cfg.cache_dir = ::testing::TempDir() + "/advp_harness_test";
+  // One directory per tag: ctest runs the cases as parallel processes, and
+  // ModelsAreCachedAcrossInstances deletes its directory.
+  cfg.cache_dir = ::testing::TempDir() + "/advp_harness_test_" + tag;
   cfg.cache_tag = tag;
   return cfg;
 }

@@ -75,10 +75,15 @@ Tensor test_frame(std::uint64_t seed = 7) {
   return Tensor::rand({1, 3, 16, 16}, rng, 0.f, 1.f);
 }
 
+// Prefixed with the running test's name: ctest runs every test case in its
+// own process, in parallel, so two cases must never share a file.
 std::string temp_file(const std::string& name) {
   const fs::path dir = fs::temp_directory_path() / "advp_serialize_format";
   fs::create_directories(dir);
-  return (dir / name).string();
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  return (dir / (std::string(test->test_suite_name()) + "." + test->name() +
+                 "." + name))
+      .string();
 }
 
 std::vector<unsigned char> read_file(const std::string& path) {

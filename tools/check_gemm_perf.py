@@ -40,22 +40,28 @@ Two sections gate the convolution fast paths:
   single-threaded. conv_implicit_speedup must clear CONV_IMPLICIT_MIN on
   every committed conv shape, baseline-relative on top.
 
-One section gates the elementwise kernels:
+Two sections gate the elementwise kernels:
 
 - "sigmoid": the sigmoid() array kernel vs the seed's scalar expression
   on libm's expf, single thread, over a fixed seeded 1M-element array
   with special values. `speedup` is an in-run ratio with a floor keyed on
-  the fresh run's backend (SIGMOID_FLOOR_BY_BACKEND): only AVX-512 builds
+  the fresh run's backend (BACKEND_FLOORS): only AVX-512 builds
   have a vector route, elsewhere the std::fma scalar must merely not
   collapse. Not baseline-relative.
+- "gaussian": the gaussian_fill() array kernel vs the seed's scalar
+  Box-Muller loop (Rng::gaussian per element), single thread, over a fixed
+  seeded 1M-element fill. Same in-run, backend-keyed floor scheme
+  (BACKEND_FLOORS); elsewhere the kernel runs libm per element and must
+  merely not collapse.
 
 Also asserts `identical: true` for every entry: the blocked kernel, the
 fused epilogue, the warm-cache path, both reduced-precision tiers
 (SIMD vs portable micro-kernel), the compiled plan (vs forward_fused,
 autotuned and default blocking alike), the implicit-im2col packer
-(vs the staged column matrix) and the sigmoid kernel (vs the libm
-expression) must all stay bit-identical to their reference passes, on
-any runner. Exit code 1 on any failure.
+(vs the staged column matrix), the sigmoid kernel (vs the libm
+expression) and the Gaussian kernel (vs the scalar loop, engine position
+included) must all stay bit-identical to their reference passes, on any
+runner. Exit code 1 on any failure.
 """
 import sys
 
@@ -68,13 +74,17 @@ BF16_PACK_MAX = 0.55  # bf16 panels must stay <= 55% of fp32 pack bytes
 INT8_SPEEDUP_MIN = 1.50  # calibrated int8 must beat warm fp32 by >= 50%
 PLAN_SPEEDUP_MIN = 1.10  # compiled plan must beat forward_fused by >= 10%
 CONV_IMPLICIT_MIN = 1.15  # implicit im2col must beat staged by >= 15%
-# sigmoid kernel vs the libm expression: >= 4x with the AVX-512 route
-# (13.4x recorded), non-collapse for the scalar route of other backends.
-SIGMOID_FLOOR_BY_BACKEND = {"avx512": 4.0}
-SIGMOID_FLOOR_DEFAULT = 0.7
+# Elementwise kernels vs the libm expressions they replace: (floor by
+# backend, floor elsewhere). Only AVX-512 builds have the vector routes
+# (sigmoid 13.4x and gaussian 5.4x recorded); the scalar routes of other
+# backends must merely not collapse.
+BACKEND_FLOORS = {
+    "sigmoid": ({"avx512": 4.0}, 0.7),
+    "gaussian": ({"avx512": 2.5}, 0.7),
+}
 
 SECTIONS = ("shapes", "fused", "warm_cache", "bf16", "int8", "plan", "conv",
-            "sigmoid")
+            "sigmoid", "gaussian")
 
 
 def load_sections(path):
@@ -107,6 +117,7 @@ def main():
         ("plan", "plan_speedup", PLAN_SPEEDUP_MIN, "compiled plan"),
         ("conv", "conv_implicit_speedup", CONV_IMPLICIT_MIN, "implicit im2col"),
         ("sigmoid", "speedup", None, "sigmoid kernel"),
+        ("gaussian", "speedup", None, "gaussian kernel"),
     ):
         for name, b in sorted(base[section].items()):
             f = fresh[section].get(name)
@@ -125,10 +136,9 @@ def main():
             if section == "warm_cache":
                 # Byte counts are deterministic; the floor is absolute.
                 floor = fixed_min
-            elif section == "sigmoid":
+            elif section in BACKEND_FLOORS:
                 floor = pc.backend_floor(fresh_backend,
-                                         SIGMOID_FLOOR_BY_BACKEND,
-                                         SIGMOID_FLOOR_DEFAULT)
+                                         *BACKEND_FLOORS[section])
             else:
                 floor = pc.baseline_floor(b[ratio_key], fixed_min)
             failures += pc.check_ratio(name, f[ratio_key], floor, ratio_key)
