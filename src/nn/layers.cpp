@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/check.h"
 #include "core/parallel.h"
@@ -33,6 +34,45 @@ GemmPrecision resolve_precision(bool train) {
 void maybe_record_range(const Tensor& x, float* range) {
   if (CalibrationScope::active())
     *range = std::max(*range, calibration_range(x.data(), x.numel()));
+}
+
+// Channels per sweep of the BatchNorm reductions.
+constexpr int kBnGroup = 4;
+
+// For G channels from c0 of the [n, c, plane] tensors a and b:
+// s[g] = sum of a and s2[g] = sum of a*b over (i, j), in double. One sweep
+// over (i, j) advances all 2G chains, so their add latencies overlap; each
+// chain still adds its terms in (i, j) order, and a float product is
+// exact in double, so a contracted s2 update rounds the same.
+template <int G>
+void bn_channel_sums(const float* a, const float* b, int n, int c, int c0,
+                     std::size_t plane, double* s, double* s2) {
+  double acc[G] = {}, acc2[G] = {};
+  for (int i = 0; i < n; ++i) {
+    const std::size_t base = (static_cast<std::size_t>(i) * c + c0) * plane;
+    const float* pa = a + base;
+    const float* pb = b + base;
+    for (std::size_t j = 0; j < plane; ++j)
+      for (int g = 0; g < G; ++g) {
+        const float v = pa[g * plane + j];
+        acc[g] += v;
+        acc2[g] += static_cast<double>(v) * pb[g * plane + j];
+      }
+  }
+  for (int g = 0; g < G; ++g) {
+    s[g] = acc[g];
+    s2[g] = acc2[g];
+  }
+}
+
+// bn_channel_sums over every channel: kBnGroup at a time, then singly.
+void bn_sums(const float* a, const float* b, int n, int c, std::size_t plane,
+             double* s, double* s2) {
+  int c0 = 0;
+  for (; c0 + kBnGroup <= c; c0 += kBnGroup)
+    bn_channel_sums<kBnGroup>(a, b, n, c, c0, plane, s + c0, s2 + c0);
+  for (; c0 < c; ++c0)
+    bn_channel_sums<1>(a, b, n, c, c0, plane, s + c0, s2 + c0);
 }
 }  // namespace
 
@@ -123,7 +163,7 @@ Tensor Linear::forward(const Tensor& x, bool train) {
   // transposed copy of the weights is materialized per forward pass. The
   // weights are the GEMM's B operand; their packing persists in the
   // layer's cache slot across calls.
-  Tensor y({x.dim(0), out_});
+  Tensor y = Tensor::uninitialized({x.dim(0), out_});
   GemmExtra extra;
   extra.b_cache = &wpack_fwd_;
   extra.precision = resolve_precision(train);
@@ -206,7 +246,7 @@ Tensor ReLU::backward(const Tensor& dy) {
 
 Tensor SiLU::forward(const Tensor& x, bool train) {
   if (train || !InferenceModeScope::active()) x_cache_ = x;
-  Tensor y(x.shape());
+  Tensor y = Tensor::uninitialized(x.shape());
   silu(x.data(), y.data(), x.numel());
   return y;
 }
@@ -230,7 +270,9 @@ Tensor SiLU::backward(const Tensor& dy) {
 
 // ---- pooling / shape --------------------------------------------------------
 
-Tensor MaxPool2x2::forward(const Tensor& x, bool) {
+Tensor MaxPool2x2::forward(const Tensor& x, bool train) {
+  if (!train && InferenceModeScope::active())
+    return maxpool2x2_forward(x, nullptr);
   in_shape_ = x.shape();
   return maxpool2x2_forward(x, &argmax_);
 }
@@ -281,20 +323,15 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
   const std::size_t plane = static_cast<std::size_t>(h) * w;
   Tensor mean({c}), var({c});
   if (train) {
+    std::vector<double> s(static_cast<std::size_t>(c)),
+        s2(static_cast<std::size_t>(c));
+    bn_sums(x.data(), x.data(), n, c, plane, s.data(), s2.data());
+    const double cnt = static_cast<double>(n) * static_cast<double>(plane);
     for (int cc = 0; cc < c; ++cc) {
-      double s = 0.0, s2 = 0.0;
-      for (int i = 0; i < n; ++i) {
-        const float* p = x.data() + (static_cast<std::size_t>(i) * c + cc) * plane;
-        for (std::size_t j = 0; j < plane; ++j) {
-          s += p[j];
-          s2 += static_cast<double>(p[j]) * p[j];
-        }
-      }
-      const double cnt = static_cast<double>(n) * static_cast<double>(plane);
-      const double m = s / cnt;
-      mean[static_cast<std::size_t>(cc)] = static_cast<float>(m);
-      var[static_cast<std::size_t>(cc)] =
-          static_cast<float>(std::max(0.0, s2 / cnt - m * m));
+      const std::size_t k = static_cast<std::size_t>(cc);
+      const double m = s[k] / cnt;
+      mean[k] = static_cast<float>(m);
+      var[k] = static_cast<float>(std::max(0.0, s2[k] / cnt - m * m));
     }
     for (int cc = 0; cc < c; ++cc) {
       running_mean_.value[static_cast<std::size_t>(cc)] =
@@ -314,13 +351,13 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
     inv_std_cache_[static_cast<std::size_t>(cc)] =
         1.f / std::sqrt(var[static_cast<std::size_t>(cc)] + eps_);
 
-  Tensor y(x.shape());
+  Tensor y = Tensor::uninitialized(x.shape());
   // x-hat is needed only by the train-mode backward; an eval backward is
   // a per-channel scale.
   if (train || !InferenceModeScope::active()) {
     in_shape_ = x.shape();
     train_cached_ = train;
-    xhat_cache_ = train ? Tensor(x.shape()) : Tensor();
+    xhat_cache_ = train ? Tensor::uninitialized(x.shape()) : Tensor();
   }
   for (int i = 0; i < n; ++i)
     for (int cc = 0; cc < c; ++cc) {
@@ -329,16 +366,19 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
       const float g = gamma_.value[static_cast<std::size_t>(cc)];
       const float bt = beta_.value[static_cast<std::size_t>(cc)];
       const std::size_t base = (static_cast<std::size_t>(i) * c + cc) * plane;
+      const float* xp = x.data() + base;
+      float* yp = y.data() + base;
       if (train) {
+        float* xhp = xhat_cache_.data() + base;
         for (std::size_t j = 0; j < plane; ++j) {
-          const float xh = (x[base + j] - m) * is;
-          xhat_cache_[base + j] = xh;
-          y[base + j] = g * xh + bt;
+          const float xh = (xp[j] - m) * is;
+          xhp[j] = xh;
+          yp[j] = g * xh + bt;
         }
       } else {
         for (std::size_t j = 0; j < plane; ++j) {
-          const float xh = (x[base + j] - m) * is;
-          y[base + j] = g * xh + bt;
+          const float xh = (xp[j] - m) * is;
+          yp[j] = g * xh + bt;
         }
       }
     }
@@ -351,30 +391,32 @@ Tensor BatchNorm2d::backward(const Tensor& dy) {
             w = in_shape_[3];
   const std::size_t plane = static_cast<std::size_t>(h) * w;
   const double cnt = static_cast<double>(n) * static_cast<double>(plane);
-  Tensor dx(dy.shape());
+  Tensor dx = Tensor::uninitialized(dy.shape());
+  std::vector<double> sums_dy, sums_dy_xhat;
+  if (train_cached_) {
+    sums_dy.resize(static_cast<std::size_t>(c));
+    sums_dy_xhat.resize(static_cast<std::size_t>(c));
+    bn_sums(dy.data(), xhat_cache_.data(), n, c, plane, sums_dy.data(),
+            sums_dy_xhat.data());
+  }
   for (int cc = 0; cc < c; ++cc) {
     const float g = gamma_.value[static_cast<std::size_t>(cc)];
     const float is = inv_std_cache_[static_cast<std::size_t>(cc)];
     if (train_cached_) {
-      double sum_dy = 0.0, sum_dy_xhat = 0.0;
-      for (int i = 0; i < n; ++i) {
-        const std::size_t base =
-            (static_cast<std::size_t>(i) * c + cc) * plane;
-        for (std::size_t j = 0; j < plane; ++j) {
-          sum_dy += dy[base + j];
-          sum_dy_xhat +=
-              static_cast<double>(dy[base + j]) * xhat_cache_[base + j];
-        }
-      }
+      const double sum_dy = sums_dy[static_cast<std::size_t>(cc)];
+      const double sum_dy_xhat = sums_dy_xhat[static_cast<std::size_t>(cc)];
       gamma_.grad[static_cast<std::size_t>(cc)] +=
           static_cast<float>(sum_dy_xhat);
       beta_.grad[static_cast<std::size_t>(cc)] += static_cast<float>(sum_dy);
       for (int i = 0; i < n; ++i) {
         const std::size_t base = (static_cast<std::size_t>(i) * c + cc) * plane;
+        const float* dyp = dy.data() + base;
+        const float* xhp = xhat_cache_.data() + base;
+        float* dxp = dx.data() + base;
         for (std::size_t j = 0; j < plane; ++j) {
-          const double term = cnt * dy[base + j] - sum_dy -
-                              xhat_cache_[base + j] * sum_dy_xhat;
-          dx[base + j] = static_cast<float>(g * is * term / cnt);
+          const double term =
+              cnt * dyp[j] - sum_dy - xhp[j] * sum_dy_xhat;
+          dxp[j] = static_cast<float>(g * is * term / cnt);
         }
       }
     } else {
@@ -382,7 +424,9 @@ Tensor BatchNorm2d::backward(const Tensor& dy) {
       // not accumulated (see Module::backward).
       for (int i = 0; i < n; ++i) {
         const std::size_t base = (static_cast<std::size_t>(i) * c + cc) * plane;
-        for (std::size_t j = 0; j < plane; ++j) dx[base + j] = g * is * dy[base + j];
+        const float* dyp = dy.data() + base;
+        float* dxp = dx.data() + base;
+        for (std::size_t j = 0; j < plane; ++j) dxp[j] = g * is * dyp[j];
       }
     }
   }

@@ -1,6 +1,7 @@
 // Concrete layers. All follow the Module contract in module.h.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -130,7 +131,7 @@ class MaxPool2x2 : public Module {
   Tensor backward(const Tensor& dy) override;
 
  private:
-  std::vector<int> argmax_;
+  std::vector<std::uint8_t> argmax_;  // window index per output
   std::vector<int> in_shape_;
 };
 

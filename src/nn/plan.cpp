@@ -176,7 +176,7 @@ namespace {
 enum class OpKind {
   kConv,     // Conv2d [+ eval-BN fold] [+ ReLU|SiLU], fused GEMM epilogue
   kLinear,   // Linear [+ ReLU], fused GEMM epilogue
-  kMaxPool,  // 2x2 stride-2 max pool (no argmax bookkeeping)
+  kMaxPool,  // 2x2 stride-2 max pool (the eager kernel, no argmax)
   kUpsample,
   kGlobalAvgPool,
   kBatchNorm,  // standalone eval-mode BN
@@ -640,31 +640,10 @@ void ExecPlan::Impl::run(const Tensor& x) {
       case OpKind::kLinear:
         run_linear(op, src, dst);
         break;
-      case OpKind::kMaxPool: {
-        // Same comparison chain as maxpool2x2_forward, minus the argmax
-        // bookkeeping no eval forward needs.
-        const int ho = op.oh, wo = op.ow;
-        std::size_t oi = 0;
-        for (int i = 0; i < op.n; ++i)
-          for (int cc = 0; cc < op.c; ++cc) {
-            const std::size_t plane =
-                (static_cast<std::size_t>(i) * op.c + cc) * op.h * op.w;
-            for (int oy = 0; oy < ho; ++oy)
-              for (int ox = 0; ox < wo; ++ox, ++oi) {
-                float best = -1e30f;
-                for (int dy = 0; dy < 2; ++dy)
-                  for (int dx = 0; dx < 2; ++dx) {
-                    const std::size_t off =
-                        plane +
-                        static_cast<std::size_t>(2 * oy + dy) * op.w +
-                        (2 * ox + dx);
-                    if (src[off] > best) best = src[off];
-                  }
-                dst[oi] = best;
-              }
-          }
+      case OpKind::kMaxPool:
+        maxpool2x2(src, static_cast<std::size_t>(op.n) * op.c, op.h, op.w,
+                   dst, /*argmax=*/nullptr);
         break;
-      }
       case OpKind::kUpsample: {
         for (int i = 0; i < op.n; ++i)
           for (int cc = 0; cc < op.c; ++cc) {

@@ -1,7 +1,11 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "core/check.h"
@@ -69,7 +73,18 @@ void im2col_lower(const float* x, int c_in, int h, int w,
 
 namespace {
 
+// [lo, hi): the output positions o in [0, n_out) whose tap lands inside
+// [0, n_in), i.e. 0 <= o*stride + off < n_in, with off = k - pad.
+std::pair<int, int> tap_range(int off, int stride, int n_in, int n_out) {
+  return {off >= 0 ? 0 : (-off + stride - 1) / stride,
+          off >= n_in ? 0 : std::min(n_out, (n_in - 1 - off) / stride + 1)};
+}
+
 // Scatters columns [Cin*K*K, Ho*Wo] back into dx [Cin,H,W] (accumulating).
+// Each tap's in-range outputs are clipped once, so the inner loop is a
+// plain run over one column row. Every dx element still receives its
+// contributions in ascending patch-row order: one per row p at most,
+// because a tap's output-to-input map is injective.
 void col2im(const float* cols, int c_in, int h, int w, const Conv2dSpec& s,
             float* dx) {
   const int ho = s.out_h(h), wo = s.out_w(w);
@@ -78,15 +93,20 @@ void col2im(const float* cols, int c_in, int h, int w, const Conv2dSpec& s,
     const int c = p / (s.kernel * s.kernel);
     const int ky = (p / s.kernel) % s.kernel;
     const int kx = p % s.kernel;
+    const auto [oy0, oy1] = tap_range(ky - s.pad, s.stride, h, ho);
+    const auto [ox0, ox1] = tap_range(kx - s.pad, s.stride, w, wo);
+    if (ox0 >= ox1) continue;  // the tap never lands inside the image
     const float* in_row = cols + static_cast<std::size_t>(p) * ho * wo;
-    for (int oy = 0; oy < ho; ++oy) {
+    for (int oy = oy0; oy < oy1; ++oy) {
       const int iy = oy * s.stride + ky - s.pad;
-      if (iy < 0 || iy >= h) continue;
-      for (int ox = 0; ox < wo; ++ox) {
-        const int ix = ox * s.stride + kx - s.pad;
-        if (ix < 0 || ix >= w) continue;
-        dx[(static_cast<std::size_t>(c) * h + iy) * w + ix] +=
-            in_row[oy * wo + ox];
+      const float* src = in_row + static_cast<std::size_t>(oy) * wo;
+      float* dst = dx + (static_cast<std::size_t>(c) * h + iy) * w +
+                   (ox0 * s.stride + kx - s.pad);
+      if (s.stride == 1) {
+        for (int ox = ox0; ox < ox1; ++ox) dst[ox - ox0] += src[ox];
+      } else {
+        for (int ox = ox0; ox < ox1; ++ox)
+          dst[static_cast<std::size_t>(ox - ox0) * s.stride] += src[ox];
       }
     }
   }
@@ -108,7 +128,8 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
 
   const int patch = c_in * spec.kernel * spec.kernel;
   const int pixels = ho * wo;
-  Tensor y({n, spec.out_channels, ho, wo});
+  // Every route below writes each y element (GEMM stores or the scatter).
+  Tensor y = Tensor::uninitialized({n, spec.out_channels, ho, wo});
 
   const std::size_t x_stride = static_cast<std::size_t>(c_in) * h * wd;
   const std::size_t y_stride =
@@ -309,7 +330,7 @@ Tensor conv_backward(const std::vector<int>& x_shape, const Tensor* x,
       im2col_lower(x->data() + i * x_stride, c_in, h, wd, spec, cols,
                    pixels);
       // dW_i = dY_i * cols_i^T  [Cout, patch]
-      Tensor dwi({spec.out_channels, patch});
+      Tensor dwi = Tensor::uninitialized({spec.out_channels, patch});
       gemm(spec.out_channels, patch, pixels, dyp, pixels, /*trans_a=*/false,
            cols, pixels, /*trans_b=*/true, dwi.data(), patch);
       dw_part[i] = std::move(dwi);
@@ -356,45 +377,90 @@ Tensor conv2d_backward_input(const std::vector<int>& x_shape,
                        nullptr);
 }
 
-Tensor maxpool2x2_forward(const Tensor& x, std::vector<int>* argmax) {
+namespace {
+
+// The select chain of maxpool2x2, one [2, w] input row pair per output row.
+// Each step takes v only if v > best; the argmax update is mask arithmetic
+// so the whole row loop is branch-free and vectorizes.
+template <bool kArgmax>
+void maxpool2x2_rows(const float* x, std::size_t rows, int w, float* y,
+                     std::uint8_t* argmax) {
+  const int wo = w / 2;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* r0 = x + 2 * r * static_cast<std::size_t>(w);
+    const float* r1 = r0 + w;
+    float* yr = y + r * wo;
+    for (int ox = 0; ox < wo; ++ox) {
+      const float v[4] = {r0[2 * ox], r0[2 * ox + 1], r1[2 * ox],
+                          r1[2 * ox + 1]};
+      float best = -1e30f;
+      std::int32_t k = 0;
+      for (std::int32_t q = 0; q < 4; ++q) {
+        const std::int32_t take = -static_cast<std::int32_t>(v[q] > best);
+        best = v[q] > best ? v[q] : best;
+        k = (k & ~take) | (q & take);
+      }
+      yr[ox] = best;
+      if constexpr (kArgmax) argmax[r * wo + ox] = static_cast<std::uint8_t>(k);
+    }
+  }
+}
+
+}  // namespace
+
+void maxpool2x2(const float* x, std::size_t planes, int h, int w, float* y,
+                std::uint8_t* argmax) {
+  // h is even, so output row r of the stacked planes reads input rows 2r
+  // and 2r + 1 of the stacked [planes*h, w] matrix.
+  const std::size_t rows = planes * static_cast<std::size_t>(h / 2);
+  if (argmax)
+    maxpool2x2_rows<true>(x, rows, w, y, argmax);
+  else
+    maxpool2x2_rows<false>(x, rows, w, y, nullptr);
+}
+
+Tensor maxpool2x2_forward(const Tensor& x, std::vector<std::uint8_t>* argmax) {
   ADVP_CHECK(x.rank() == 4);
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   ADVP_CHECK_MSG(h % 2 == 0 && w % 2 == 0, "maxpool2x2: H,W must be even");
-  const int ho = h / 2, wo = w / 2;
-  Tensor y({n, c, ho, wo});
-  if (argmax) argmax->assign(y.numel(), 0);
-  std::size_t oi = 0;
-  for (int i = 0; i < n; ++i)
-    for (int cc = 0; cc < c; ++cc) {
-      const std::size_t plane =
-          (static_cast<std::size_t>(i) * c + cc) * h * w;
-      for (int oy = 0; oy < ho; ++oy)
-        for (int ox = 0; ox < wo; ++ox, ++oi) {
-          float best = -1e30f;
-          std::size_t best_off = 0;
-          for (int dy = 0; dy < 2; ++dy)
-            for (int dx = 0; dx < 2; ++dx) {
-              const std::size_t off =
-                  plane + static_cast<std::size_t>(2 * oy + dy) * w +
-                  (2 * ox + dx);
-              if (x[off] > best) {
-                best = x[off];
-                best_off = off;
-              }
-            }
-          y[oi] = best;
-          if (argmax) (*argmax)[oi] = static_cast<int>(best_off);
-        }
-    }
+  Tensor y = Tensor::uninitialized({n, c, h / 2, w / 2});
+  if (argmax) argmax->resize(y.numel());
+  maxpool2x2(x.data(), static_cast<std::size_t>(n) * c, h, w, y.data(),
+             argmax ? argmax->data() : nullptr);
   return y;
 }
 
-Tensor maxpool2x2_backward(const Tensor& dy, const std::vector<int>& argmax,
+Tensor maxpool2x2_backward(const Tensor& dy,
+                           const std::vector<std::uint8_t>& argmax,
                            const std::vector<int>& input_shape) {
-  Tensor dx(input_shape);
-  ADVP_CHECK(argmax.size() == dy.numel());
-  for (std::size_t i = 0; i < dy.numel(); ++i)
-    dx[static_cast<std::size_t>(argmax[i])] += dy[i];
+  ADVP_CHECK(input_shape.size() == 4 && input_shape[2] % 2 == 0 &&
+             input_shape[3] % 2 == 0);
+  // Windows are disjoint, so writing each dx element exactly once equals
+  // a zero-fill plus a scatter: the window's recorded element gets
+  // 0.f + dy (a -0 gradient lands as +0) and the other three 0.f. The
+  // choice is a bit mask on 0.f + dy looked up by window index, so no
+  // branch depends on the argmax.
+  alignas(16) static const std::uint32_t kPick[4][4] = {
+      {~0u, 0u, 0u, 0u}, {0u, ~0u, 0u, 0u}, {0u, 0u, ~0u, 0u},
+      {0u, 0u, 0u, ~0u}};
+  Tensor dx = Tensor::uninitialized(input_shape);
+  ADVP_CHECK(argmax.size() == dy.numel() && 4 * dy.numel() == dx.numel());
+  const int w = input_shape[3], wo = w / 2;
+  const std::size_t rows = dy.numel() / static_cast<std::size_t>(wo);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* g = dy.data() + r * wo;
+    const std::uint8_t* k = argmax.data() + r * wo;
+    float* d0 = dx.data() + 2 * r * static_cast<std::size_t>(w);
+    float* d1 = d0 + w;
+    for (int ox = 0; ox < wo; ++ox) {
+      const std::uint32_t v = std::bit_cast<std::uint32_t>(0.f + g[ox]);
+      const std::uint32_t* pick = kPick[k[ox] & 3];
+      std::uint32_t win[4];  // the window in row-major order
+      for (int q = 0; q < 4; ++q) win[q] = v & pick[q];
+      std::memcpy(d0 + 2 * ox, win, 2 * sizeof(float));
+      std::memcpy(d1 + 2 * ox, win + 2, 2 * sizeof(float));
+    }
+  }
   return dx;
 }
 

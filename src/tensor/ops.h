@@ -6,6 +6,10 @@
 // d(loss)/d(image) all the way back to the pixels.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
 #include "tensor/gemm.h"
 #include "tensor/tensor.h"
 #include "tensor/vmath.h"
@@ -93,10 +97,24 @@ Tensor conv2d_backward_input(const std::vector<int>& x_shape,
 
 // ---- pooling ---------------------------------------------------------------
 
-/// 2x2 stride-2 max pooling. `argmax` (same shape as output) records the
-/// flat input offset of each winner for the backward pass.
-Tensor maxpool2x2_forward(const Tensor& x, std::vector<int>* argmax);
-Tensor maxpool2x2_backward(const Tensor& dy, const std::vector<int>& argmax,
+/// The one 2x2 stride-2 max-pool kernel, over `planes` contiguous [h, w]
+/// planes (h, w even) into [h/2, w/2] planes. Each window's four values
+/// are visited in row-major order from -1e30f, and a value is taken only
+/// if it is strictly greater: ties keep the first, NaN is never taken,
+/// and a window nothing beats outputs -1e30f. `argmax`, when non-null,
+/// receives each output's window index (0..3 = 2*dy + dx; 0 when nothing
+/// beat -1e30f).
+void maxpool2x2(const float* x, std::size_t planes, int h, int w, float* y,
+                std::uint8_t* argmax);
+
+/// 2x2 stride-2 max pooling of [N,C,H,W]. `argmax`, when non-null, is
+/// resized to the output's element count and receives the window indices
+/// for the backward pass.
+Tensor maxpool2x2_forward(const Tensor& x, std::vector<std::uint8_t>* argmax);
+/// Routes each dy element to its window's recorded element (as 0.f + dy);
+/// the other three window elements get 0.f.
+Tensor maxpool2x2_backward(const Tensor& dy,
+                           const std::vector<std::uint8_t>& argmax,
                            const std::vector<int>& input_shape);
 
 /// Global average pool over H,W: [N,C,H,W] -> [N,C].

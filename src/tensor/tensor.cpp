@@ -26,6 +26,13 @@ std::size_t shape_numel(const std::vector<int>& shape) {
 Tensor::Tensor(std::vector<int> shape)
     : shape_(std::move(shape)), data_(shape_numel(shape_), 0.f) {}
 
+Tensor Tensor::uninitialized(std::vector<int> shape) {
+  Tensor t;
+  t.data_.resize(shape_numel(shape));
+  t.shape_ = std::move(shape);
+  return t;
+}
+
 Tensor Tensor::full(std::vector<int> shape, float value) {
   Tensor t(std::move(shape));
   t.fill(value);
@@ -49,7 +56,7 @@ Tensor Tensor::from_vector(std::vector<int> shape, std::vector<float> data) {
                  "from_vector: shape/data size mismatch");
   Tensor t;
   t.shape_ = std::move(shape);
-  t.data_ = std::move(data);
+  t.data_.assign(data.begin(), data.end());
   return t;
 }
 
@@ -81,36 +88,6 @@ Tensor Tensor::reshape(std::vector<int> shape) const {
   t.shape_ = std::move(shape);
   t.data_ = data_;
   return t;
-}
-
-std::size_t Tensor::offset_of(std::initializer_list<int> idx) const {
-  ADVP_DCHECK(static_cast<int>(idx.size()) == rank());
-  std::size_t off = 0;
-  std::size_t d = 0;
-  for (int i : idx) {
-    ADVP_DCHECK(i >= 0 && i < shape_[d]);
-    off = off * static_cast<std::size_t>(shape_[d]) +
-          static_cast<std::size_t>(i);
-    ++d;
-  }
-  return off;
-}
-
-float& Tensor::at(int i0) { return data_[offset_of({i0})]; }
-float& Tensor::at(int i0, int i1) { return data_[offset_of({i0, i1})]; }
-float& Tensor::at(int i0, int i1, int i2) {
-  return data_[offset_of({i0, i1, i2})];
-}
-float& Tensor::at(int i0, int i1, int i2, int i3) {
-  return data_[offset_of({i0, i1, i2, i3})];
-}
-float Tensor::at(int i0) const { return data_[offset_of({i0})]; }
-float Tensor::at(int i0, int i1) const { return data_[offset_of({i0, i1})]; }
-float Tensor::at(int i0, int i1, int i2) const {
-  return data_[offset_of({i0, i1, i2})];
-}
-float Tensor::at(int i0, int i1, int i2, int i3) const {
-  return data_[offset_of({i0, i1, i2, i3})];
 }
 
 Tensor& Tensor::operator+=(const Tensor& rhs) {

@@ -11,11 +11,35 @@
 #include <functional>
 #include <initializer_list>
 #include <iosfwd>
+#include <memory>
+#include <new>
 #include <vector>
 
+#include "core/check.h"
 #include "core/rng.h"
 
 namespace advp {
+
+namespace detail {
+/// std::allocator whose value-less construct leaves the element
+/// default-initialized (for float: unwritten). Lets Tensor::uninitialized
+/// size its storage without a zero-fill; every construction from a value
+/// (the zero-filling constructor, copies) still writes each element.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() noexcept = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+}  // namespace detail
 
 /// Dense row-major float tensor, rank 1..4.
 class Tensor {
@@ -28,6 +52,9 @@ class Tensor {
 
   // ---- factories -------------------------------------------------------
   static Tensor zeros(std::vector<int> shape) { return Tensor(std::move(shape)); }
+  /// A tensor whose elements are left unwritten. Only for outputs the
+  /// caller overwrites in full before any element is read.
+  static Tensor uninitialized(std::vector<int> shape);
   static Tensor full(std::vector<int> shape, float value);
   static Tensor ones(std::vector<int> shape) { return full(std::move(shape), 1.f); }
   /// I.i.d. N(0, sigma^2) entries: rng.gaussian(sigma) per element, in
@@ -54,14 +81,20 @@ class Tensor {
   const float* data() const { return data_.data(); }
   float& operator[](std::size_t i) { return data_[i]; }
   float operator[](std::size_t i) const { return data_[i]; }
-  float& at(int i0);
-  float& at(int i0, int i1);
-  float& at(int i0, int i1, int i2);
-  float& at(int i0, int i1, int i2, int i3);
-  float at(int i0) const;
-  float at(int i0, int i1) const;
-  float at(int i0, int i1, int i2) const;
-  float at(int i0, int i1, int i2, int i3) const;
+  /// Element at a full index of the tensor's rank (rank and bounds are
+  /// ADVP_DCHECKed).
+  float& at(int i0) { return data_[offset(i0)]; }
+  float& at(int i0, int i1) { return data_[offset(i0, i1)]; }
+  float& at(int i0, int i1, int i2) { return data_[offset(i0, i1, i2)]; }
+  float& at(int i0, int i1, int i2, int i3) {
+    return data_[offset(i0, i1, i2, i3)];
+  }
+  float at(int i0) const { return data_[offset(i0)]; }
+  float at(int i0, int i1) const { return data_[offset(i0, i1)]; }
+  float at(int i0, int i1, int i2) const { return data_[offset(i0, i1, i2)]; }
+  float at(int i0, int i1, int i2, int i3) const {
+    return data_[offset(i0, i1, i2, i3)];
+  }
 
   // ---- elementwise arithmetic (shape-checked) ---------------------------
   Tensor& operator+=(const Tensor& rhs);
@@ -103,9 +136,22 @@ class Tensor {
   void fill(float value);
 
  private:
+  // Row-major offset of a full index; each dim is bounds-checked.
+  template <typename... I>
+  std::size_t offset(I... idx) const {
+    const int ix[] = {idx...};
+    ADVP_DCHECK(sizeof...(I) == shape_.size());
+    std::size_t off = 0;
+    for (std::size_t d = 0; d < sizeof...(I); ++d) {
+      ADVP_DCHECK(ix[d] >= 0 && ix[d] < shape_[d]);
+      off = off * static_cast<std::size_t>(shape_[d]) +
+            static_cast<std::size_t>(ix[d]);
+    }
+    return off;
+  }
+
   std::vector<int> shape_;
-  std::vector<float> data_;
-  std::size_t offset_of(std::initializer_list<int> idx) const;
+  std::vector<float, detail::DefaultInitAllocator<float>> data_;
 };
 
 /// a + s*b (shape-checked), used by optimizers and attacks.

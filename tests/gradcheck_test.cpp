@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "nn/loss.h"
 #include "tensor/gemm.h"
@@ -123,7 +124,7 @@ TEST(GradCheckTest, MatmulBothArguments) {
 TEST(GradCheckTest, MaxPool2x2) {
   Rng rng(11);
   Tensor x = Tensor::randn({2, 2, 4, 6}, rng);
-  std::vector<int> argmax;
+  std::vector<std::uint8_t> argmax;
   Tensor y = maxpool2x2_forward(x, &argmax);
   Tensor w = probe(y.shape(), rng);
   Tensor dx = maxpool2x2_backward(w, argmax, x.shape());

@@ -3,9 +3,14 @@
 // depends on).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/check.h"
 #include "core/rng.h"
@@ -104,6 +109,159 @@ TEST(LayerGradTest, BatchNormTrainModeGradient) {
   // check must recompute them, which check_input_gradient does by calling
   // forward(train=true).
   check_input_gradient(bn, x, 5e-2f, /*train=*/true);
+}
+
+// BatchNorm2d's train forward and backward as first written: one channel
+// at a time, each reduction a single double chain in (i, j) order. Kept as
+// the reference the channel-interleaved sums must match bit for bit.
+struct BatchNormReference {
+  std::vector<float> gamma, beta, running_mean, running_var, inv_std;
+  std::vector<float> dgamma, dbeta;
+  float momentum = 0.1f, eps = 1e-5f;
+  Tensor xhat;
+
+  Tensor forward(const Tensor& x) {
+    const int n = x.dim(0), c = x.dim(1);
+    const std::size_t plane = static_cast<std::size_t>(x.dim(2)) * x.dim(3);
+    std::vector<float> mean(static_cast<std::size_t>(c)),
+        var(static_cast<std::size_t>(c));
+    for (int cc = 0; cc < c; ++cc) {
+      double s = 0.0, s2 = 0.0;
+      for (int i = 0; i < n; ++i) {
+        const float* p =
+            x.data() + (static_cast<std::size_t>(i) * c + cc) * plane;
+        for (std::size_t j = 0; j < plane; ++j) {
+          s += p[j];
+          s2 += static_cast<double>(p[j]) * p[j];
+        }
+      }
+      const double cnt = static_cast<double>(n) * static_cast<double>(plane);
+      const double m = s / cnt;
+      mean[static_cast<std::size_t>(cc)] = static_cast<float>(m);
+      var[static_cast<std::size_t>(cc)] =
+          static_cast<float>(std::max(0.0, s2 / cnt - m * m));
+    }
+    inv_std.assign(static_cast<std::size_t>(c), 0.f);
+    for (std::size_t cc = 0; cc < static_cast<std::size_t>(c); ++cc) {
+      running_mean[cc] =
+          (1.f - momentum) * running_mean[cc] + momentum * mean[cc];
+      running_var[cc] = (1.f - momentum) * running_var[cc] + momentum * var[cc];
+      inv_std[cc] = 1.f / std::sqrt(var[cc] + eps);
+    }
+    Tensor y(x.shape());
+    xhat = Tensor(x.shape());
+    for (int i = 0; i < n; ++i)
+      for (int cc = 0; cc < c; ++cc) {
+        const std::size_t k = static_cast<std::size_t>(cc);
+        const float m = mean[k], is = inv_std[k], g = gamma[k], bt = beta[k];
+        const std::size_t base = (static_cast<std::size_t>(i) * c + cc) * plane;
+        for (std::size_t j = 0; j < plane; ++j) {
+          const float xh = (x[base + j] - m) * is;
+          xhat[base + j] = xh;
+          y[base + j] = g * xh + bt;
+        }
+      }
+    return y;
+  }
+
+  Tensor backward(const Tensor& dy) {
+    const int n = dy.dim(0), c = dy.dim(1);
+    const std::size_t plane = static_cast<std::size_t>(dy.dim(2)) * dy.dim(3);
+    const double cnt = static_cast<double>(n) * static_cast<double>(plane);
+    Tensor dx(dy.shape());
+    dgamma.assign(static_cast<std::size_t>(c), 0.f);
+    dbeta.assign(static_cast<std::size_t>(c), 0.f);
+    for (int cc = 0; cc < c; ++cc) {
+      const float g = gamma[static_cast<std::size_t>(cc)];
+      const float is = inv_std[static_cast<std::size_t>(cc)];
+      double sum_dy = 0.0, sum_dy_xhat = 0.0;
+      for (int i = 0; i < n; ++i) {
+        const std::size_t base =
+            (static_cast<std::size_t>(i) * c + cc) * plane;
+        for (std::size_t j = 0; j < plane; ++j) {
+          sum_dy += dy[base + j];
+          sum_dy_xhat += static_cast<double>(dy[base + j]) * xhat[base + j];
+        }
+      }
+      dgamma[static_cast<std::size_t>(cc)] += static_cast<float>(sum_dy_xhat);
+      dbeta[static_cast<std::size_t>(cc)] += static_cast<float>(sum_dy);
+      for (int i = 0; i < n; ++i) {
+        const std::size_t base = (static_cast<std::size_t>(i) * c + cc) * plane;
+        for (std::size_t j = 0; j < plane; ++j) {
+          const double term =
+              cnt * dy[base + j] - sum_dy - xhat[base + j] * sum_dy_xhat;
+          dx[base + j] = static_cast<float>(g * is * term / cnt);
+        }
+      }
+    }
+    return dx;
+  }
+};
+
+bool same_bits(const float* a, const float* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+// Channel counts around the sweep group of 4 (remainders 1 and 3, one
+// whole group, three groups plus one), batch 1 and 3, and both a 7x9
+// plane and the contrastive head's [N, D, 1, 1] view.
+TEST(LayerGradTest, BatchNormTrainMatchesReferenceLoops) {
+  Rng rng(41);
+  for (int c : {1, 3, 4, 5, 13})
+    for (int n : {1, 3})
+      for (const auto& hw : {std::pair{7, 9}, std::pair{1, 1}}) {
+        const std::string at = "c" + std::to_string(c) + " n" +
+                               std::to_string(n) + " " +
+                               std::to_string(hw.first) + "x" +
+                               std::to_string(hw.second);
+        BatchNorm2d bn(c);
+        BatchNormReference ref;
+        bn.gamma() = Tensor::randn({c}, rng);
+        bn.beta() = Tensor::randn({c}, rng);
+        bn.running_mean() = Tensor::randn({c}, rng);
+        bn.running_var() = Tensor::rand({c}, rng, 0.5f, 2.f);
+        auto vec = [](const Tensor& t) {
+          return std::vector<float>(t.data(), t.data() + t.numel());
+        };
+        ref.gamma = vec(bn.gamma());
+        ref.beta = vec(bn.beta());
+        ref.running_mean = vec(bn.running_mean());
+        ref.running_var = vec(bn.running_var());
+        // Two steps, so the second one's statistics update moved buffers.
+        // The second step's inputs and gradients sit on a large offset:
+        // the variance and the dx term then cancel, so the low bits of
+        // the double sums, and so their summation order, reach the float
+        // results.
+        for (int step = 0; step < 2; ++step) {
+          const float offset = step == 0 ? 0.5f : 300.f;
+          Tensor x = Tensor::randn({n, c, hw.first, hw.second}, rng,
+                                   step == 0 ? 2.f : 0.01f);
+          x += offset;
+          const Tensor y = bn.forward(x, /*train=*/true);
+          const Tensor ref_y = ref.forward(x);
+          EXPECT_TRUE(same_bits(y.data(), ref_y.data(), y.numel())) << at;
+          EXPECT_TRUE(same_bits(bn.running_mean().data(),
+                                ref.running_mean.data(), c))
+              << at;
+          EXPECT_TRUE(same_bits(bn.running_var().data(),
+                                ref.running_var.data(), c))
+              << at;
+          std::vector<Param*> params;
+          bn.collect_params(params);
+          for (Param* p : params) p->grad.fill(0.f);
+          Tensor dy = Tensor::randn(y.shape(), rng);
+          dy += offset;
+          const Tensor dx = bn.backward(dy);
+          const Tensor ref_dx = ref.backward(dy);
+          EXPECT_TRUE(same_bits(dx.data(), ref_dx.data(), dx.numel())) << at;
+          EXPECT_TRUE(same_bits(params[0]->grad.data(), ref.dgamma.data(),
+                                ref.dgamma.size()))
+              << at;
+          EXPECT_TRUE(same_bits(params[1]->grad.data(), ref.dbeta.data(),
+                                ref.dbeta.size()))
+              << at;
+        }
+      }
 }
 
 TEST(LayerGradTest, SequentialConvStackGradient) {

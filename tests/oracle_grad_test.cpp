@@ -6,6 +6,8 @@
 // prediction_grad and TinyYolo loss_backward(..., false) input gradients,
 // a plan forward through the fused Conv+BN+SiLU epilogue, and a train-mode
 // parameter gradient, each at batch 1 and 3 and at 1 and 4 workers. The
+// weights after one epoch of each trainer were recorded with the plain
+// max-pool, col2im and BatchNorm loops and zero-filled outputs. The
 // hashes are those of the Release build (-O3 -march=native, where the
 // compiler contracts a*b+c into FMAs); other build types compute other,
 // equally deterministic, bits.
@@ -17,6 +19,9 @@
 
 #include "core/parallel.h"
 #include "core/rng.h"
+#include "data/dataset.h"
+#include "defenses/adv_train.h"
+#include "defenses/contrastive.h"
 #include "models/distnet.h"
 #include "models/tiny_yolo.h"
 #include "nn/plan.h"
@@ -180,6 +185,54 @@ TEST(TrainGradTest, ParamGradHashMatchesRecordedBits) {
                 expected_yolo[b])
           << "TinyYolo batch " << n << ", " << w << " workers";
     }
+  }
+}
+
+std::uint64_t param_value_hash(const std::vector<nn::Param*>& params) {
+  std::uint64_t h = kFnvOffset;
+  for (const nn::Param* p : params) h = fnv1a(p->value, h);
+  return h;
+}
+
+// One epoch of each trainer the defense_train workload runs, from fresh
+// weights: batch-16 Adam steps through every train-mode forward and
+// backward kernel, the optimizer, the FGSM set generation before it and
+// the contrastive head (BatchNorm on [N, D, 1, 1], dropout) after it.
+TEST(TrainGradTest, OneEpochOfEachTrainerMatchesRecordedBits) {
+  const std::uint64_t expected_dist = 15158469546954557637ull;
+  const std::uint64_t expected_yolo_adv = 12292849168832943634ull;
+  const std::uint64_t expected_yolo_contrastive = 5761471193835143763ull;
+  const data::DrivingDataset frames = data::make_driving_dataset(16, 81);
+  const data::SignDataset scenes = data::make_sign_dataset(16, 82);
+  std::vector<Image> images;
+  for (const data::SignScene& sc : scenes.scenes) images.push_back(sc.image);
+  models::TrainConfig cfg;
+  cfg.epochs = 1;
+  cfg.batch_size = 16;
+  cfg.seed = 83;
+  defenses::ContrastiveConfig ccfg;
+  ccfg.epochs = 1;
+  ccfg.seed = 84;
+  for (std::size_t w : kWorkers) {
+    ScopedMaxWorkers workers(w);
+    Rng rng(29);
+    DistNet dist(DistNetConfig{}, rng);
+    TinyYolo yolo({}, rng);
+    const data::DrivingDataset adv_frames =
+        defenses::make_adversarial_driving_dataset(
+            frames, defenses::AttackKind::kFgsm, dist, 85);
+    const data::SignDataset adv_scenes =
+        defenses::make_adversarial_sign_dataset(
+            scenes, defenses::AttackKind::kFgsm, yolo, 86);
+    defenses::adversarial_train_distnet(dist, adv_frames, cfg, &frames);
+    EXPECT_EQ(param_value_hash(dist.params()), expected_dist)
+        << w << " workers";
+    defenses::adversarial_train_detector(yolo, adv_scenes, cfg, &scenes);
+    EXPECT_EQ(param_value_hash(yolo.params()), expected_yolo_adv)
+        << w << " workers";
+    defenses::contrastive_pretrain(yolo, images, ccfg);
+    EXPECT_EQ(param_value_hash(yolo.params()), expected_yolo_contrastive)
+        << w << " workers";
   }
 }
 

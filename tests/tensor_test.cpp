@@ -1,10 +1,19 @@
 // Unit + property tests for the tensor substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "core/check.h"
 #include "core/rng.h"
+#include "nn/layers.h"
+#include "nn/plan.h"
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
@@ -199,19 +208,282 @@ TEST(ConvTest, WeightGradientMatchesNumeric) {
   }
 }
 
+// The col2im scatter as it was first written: a bounds test on every tap
+// of every output. Kept as the reference the clipped row runs must match.
+void reference_col2im(const float* cols, int c_in, int h, int w,
+                      const Conv2dSpec& s, float* dx) {
+  const int ho = s.out_h(h), wo = s.out_w(w);
+  const int patch = c_in * s.kernel * s.kernel;
+  for (int p = 0; p < patch; ++p) {
+    const int c = p / (s.kernel * s.kernel);
+    const int ky = (p / s.kernel) % s.kernel;
+    const int kx = p % s.kernel;
+    const float* in_row = cols + static_cast<std::size_t>(p) * ho * wo;
+    for (int oy = 0; oy < ho; ++oy) {
+      const int iy = oy * s.stride + ky - s.pad;
+      if (iy < 0 || iy >= h) continue;
+      for (int ox = 0; ox < wo; ++ox) {
+        const int ix = ox * s.stride + kx - s.pad;
+        if (ix < 0 || ix >= w) continue;
+        dx[(static_cast<std::size_t>(c) * h + iy) * w + ix] +=
+            in_row[oy * wo + ox];
+      }
+    }
+  }
+}
+
+// dx of the conv backward, per item: the dX GEMM (dcols = W^T dY) and the
+// reference scatter into a zero-filled dx.
+Tensor reference_conv_dx(const std::vector<int>& x_shape, const Tensor& w,
+                         const Tensor& dy, const Conv2dSpec& spec) {
+  const int n = x_shape[0], c_in = x_shape[1], h = x_shape[2],
+            wd = x_shape[3];
+  const int pixels = spec.out_h(h) * spec.out_w(wd);
+  const int patch = c_in * spec.kernel * spec.kernel;
+  Tensor dx(x_shape);
+  std::vector<float> dcols(static_cast<std::size_t>(patch) * pixels);
+  for (int i = 0; i < n; ++i) {
+    gemm(patch, pixels, spec.out_channels, w.data(), patch, /*trans_a=*/true,
+         dy.data() + static_cast<std::size_t>(i) * spec.out_channels * pixels,
+         pixels, /*trans_b=*/false, dcols.data(), pixels);
+    reference_col2im(dcols.data(), c_in, h, wd, spec,
+                     dx.data() + static_cast<std::size_t>(i) * c_in * h * wd);
+  }
+  return dx;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+// Every geometry edge of the clipped col2im: kernel 1/3/5, stride 1/2,
+// padding up to 2 (outputs whose taps lie wholly in the padding), odd and
+// even sizes, and a stride-3 case whose corner taps never touch the image.
+TEST(ConvTest, InputGradientMatchesReferenceScatter) {
+  Rng rng(31);
+  struct Geometry {
+    int kernel, stride, pad, h, w;
+  };
+  std::vector<Geometry> cases = {{1, 3, 1, 2, 2}};
+  for (int k : {1, 3, 5})
+    for (int st : {1, 2})
+      for (int pad : {0, 1, 2})
+        for (int h : {5, 6, 7})
+          for (int w : {5, 6, 7}) cases.push_back({k, st, pad, h, w});
+  for (const Geometry& g : cases) {
+    const Conv2dSpec spec{2, 3, g.kernel, g.stride, g.pad};
+    const Tensor x = Tensor::randn({2, 2, g.h, g.w}, rng);
+    const Tensor w = Tensor::randn({3, 2, g.kernel, g.kernel}, rng);
+    const Tensor dy =
+        Tensor::randn({2, 3, spec.out_h(g.h), spec.out_w(g.w)}, rng);
+    const Tensor ref = reference_conv_dx(x.shape(), w, dy, spec);
+    EXPECT_TRUE(same_bits(conv2d_backward(x, w, dy, spec).dx, ref))
+        << "k" << g.kernel << " s" << g.stride << " p" << g.pad << " "
+        << g.h << "x" << g.w;
+    EXPECT_TRUE(same_bits(conv2d_backward_input(x.shape(), w, dy, spec), ref))
+        << "input-only, k" << g.kernel << " s" << g.stride << " p" << g.pad
+        << " " << g.h << "x" << g.w;
+  }
+}
+
 TEST(PoolTest, MaxPoolPicksMaxAndRoutesGradient) {
   Tensor x({1, 1, 2, 2});
   x.at(0, 0, 0, 0) = 1.f;
   x.at(0, 0, 0, 1) = 4.f;
   x.at(0, 0, 1, 0) = 2.f;
   x.at(0, 0, 1, 1) = 3.f;
-  std::vector<int> argmax;
+  std::vector<std::uint8_t> argmax;
   Tensor y = maxpool2x2_forward(x, &argmax);
   EXPECT_FLOAT_EQ(y.at(0, 0, 0, 0), 4.f);
   Tensor dy = Tensor::ones({1, 1, 1, 1});
   Tensor dx = maxpool2x2_backward(dy, argmax, x.shape());
   EXPECT_FLOAT_EQ(dx.at(0, 0, 0, 1), 1.f);
   EXPECT_FLOAT_EQ(dx.at(0, 0, 0, 0), 0.f);
+}
+
+// The max-pool loops as first written: a branchy first-strict-max chain
+// recording flat input offsets, and a zero-filled dx plus a scatter. Kept
+// as the reference the select-chain kernel must match bit for bit.
+Tensor reference_maxpool(const Tensor& x, std::vector<int>* argmax) {
+  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const int ho = h / 2, wo = w / 2;
+  Tensor y({n, c, ho, wo});
+  argmax->assign(y.numel(), 0);
+  std::size_t oi = 0;
+  for (int i = 0; i < n; ++i)
+    for (int cc = 0; cc < c; ++cc) {
+      const std::size_t plane =
+          (static_cast<std::size_t>(i) * c + cc) * h * w;
+      for (int oy = 0; oy < ho; ++oy)
+        for (int ox = 0; ox < wo; ++ox, ++oi) {
+          float best = -1e30f;
+          std::size_t best_off = 0;
+          for (int dy = 0; dy < 2; ++dy)
+            for (int dx = 0; dx < 2; ++dx) {
+              const std::size_t off =
+                  plane + static_cast<std::size_t>(2 * oy + dy) * w +
+                  (2 * ox + dx);
+              if (x[off] > best) {
+                best = x[off];
+                best_off = off;
+              }
+            }
+          y[oi] = best;
+          (*argmax)[oi] = static_cast<int>(best_off);
+        }
+    }
+  return y;
+}
+
+Tensor reference_maxpool_backward(const Tensor& dy,
+                                  const std::vector<int>& argmax,
+                                  const std::vector<int>& input_shape) {
+  Tensor dx(input_shape);
+  for (std::size_t i = 0; i < dy.numel(); ++i)
+    dx[static_cast<std::size_t>(argmax[i])] += dy[i];
+  return dx;
+}
+
+// Input planes whose windows mix random values, exact ties (all four
+// equal, two equal pairs, a tied maximum), +0/-0, -inf and NaN. Every
+// window keeps one value above -1e30f; degenerate windows have their own
+// test below.
+Tensor pool_input(int n, int c, int h, int w, Rng& rng) {
+  Tensor x = Tensor::randn({n, c, h, w}, rng);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (int i = 0; i < n; ++i)
+    for (int cc = 0; cc < c; ++cc)
+      for (int oy = 0; oy < h / 2; ++oy)
+        for (int ox = 0; ox < w / 2; ++ox) {
+          float* v[4] = {&x.at(i, cc, 2 * oy, 2 * ox),
+                         &x.at(i, cc, 2 * oy, 2 * ox + 1),
+                         &x.at(i, cc, 2 * oy + 1, 2 * ox),
+                         &x.at(i, cc, 2 * oy + 1, 2 * ox + 1)};
+          const float a = *v[0], b = *v[1];
+          switch (rng.uniform_int(0, 6)) {
+            case 0:  // all four equal
+              for (float* p : v) *p = a;
+              break;
+            case 1:  // two equal pairs
+              *v[2] = a;
+              *v[3] = b;
+              break;
+            case 2:  // the maximum twice
+              *v[rng.uniform_int(1, 3)] = std::max({*v[0], *v[1], *v[2],
+                                                    *v[3]});
+              break;
+            case 3:  // signed zeros
+              for (float* p : v) *p = rng.coin(0.5) ? 0.f : -0.f;
+              break;
+            case 4:  // -inf and NaN beside one finite value
+              for (float* p : v) *p = rng.coin(0.5) ? -inf : nan;
+              *v[rng.uniform_int(0, 3)] = a;
+              break;
+            default:  // random values
+              break;
+          }
+        }
+  return x;
+}
+
+TEST(PoolTest, KernelMatchesReferenceLoop) {
+  Rng rng(32);
+  for (int n : {1, 3})
+    for (int c : {1, 5})
+      for (int w : {2, 6, 14, 34, 50, 96}) {
+        const Tensor x = pool_input(n, c, 6, w, rng);
+        std::vector<int> ref_arg;
+        const Tensor ref_y = reference_maxpool(x, &ref_arg);
+        std::vector<std::uint8_t> arg;
+        const Tensor y = maxpool2x2_forward(x, &arg);
+        const std::string at = "n" + std::to_string(n) + " c" +
+                               std::to_string(c) + " w" + std::to_string(w);
+        EXPECT_TRUE(same_bits(y, ref_y)) << at;
+        EXPECT_TRUE(same_bits(maxpool2x2_forward(x, nullptr), ref_y)) << at;
+        ASSERT_EQ(arg.size(), ref_arg.size()) << at;
+        // Window index k of output (plane, oy, ox) is the flat offset
+        // plane*h*w + (2*oy + k/2)*w + 2*ox + k%2.
+        const int wo = w / 2;
+        for (std::size_t o = 0; o < arg.size(); ++o) {
+          const std::size_t row = o / wo, ox = o % wo;
+          const std::size_t off =
+              (2 * row + arg[o] / 2) * w + 2 * ox + arg[o] % 2;
+          ASSERT_EQ(off, static_cast<std::size_t>(ref_arg[o]))
+              << at << " output " << o;
+        }
+        // dy carries -0 and NaN too: both sides add it onto +0.
+        Tensor dy = Tensor::randn(y.shape(), rng);
+        dy[0] = -0.f;
+        dy[dy.numel() - 1] = std::numeric_limits<float>::quiet_NaN();
+        EXPECT_TRUE(same_bits(maxpool2x2_backward(dy, arg, x.shape()),
+                              reference_maxpool_backward(dy, ref_arg,
+                                                         x.shape())))
+            << at;
+      }
+}
+
+// A window that holds only NaN, only -inf or only -1e30f outputs -1e30f,
+// and its gradient goes to the window's own first element: never to
+// element 0 of the tensor, which here belongs to another batch item.
+TEST(PoolTest, DegenerateWindowKeepsGradientInItsWindow) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Tensor x({2, 1, 2, 6});
+  for (int k = 0; k < 12; ++k)  // item 0: ordinary values
+    x.at(0, 0, k / 6, k % 6) = static_cast<float>(k % 5) - 2.f;
+  const float fill[3] = {nan, -inf, -1e30f};
+  for (int ox = 0; ox < 3; ++ox)
+    for (int r = 0; r < 2; ++r)
+      for (int q = 0; q < 2; ++q) x.at(1, 0, r, 2 * ox + q) = fill[ox];
+  std::vector<std::uint8_t> arg;
+  const Tensor y = maxpool2x2_forward(x, &arg);
+  Tensor dy({2, 1, 1, 3});
+  for (std::size_t i = 0; i < dy.numel(); ++i)
+    dy[i] = static_cast<float>(i + 1);
+  const Tensor dx = maxpool2x2_backward(dy, arg, x.shape());
+  for (int ox = 0; ox < 3; ++ox) {
+    EXPECT_EQ(y.at(1, 0, 0, ox), -1e30f) << "window " << ox;
+    EXPECT_EQ(arg[3 + static_cast<std::size_t>(ox)], 0) << "window " << ox;
+    EXPECT_EQ(dx.at(1, 0, 0, 2 * ox), dy.at(1, 0, 0, ox)) << "window " << ox;
+    EXPECT_EQ(dx.at(1, 0, 0, 2 * ox + 1), 0.f);
+    EXPECT_EQ(dx.at(1, 0, 1, 2 * ox), 0.f);
+    EXPECT_EQ(dx.at(1, 0, 1, 2 * ox + 1), 0.f);
+  }
+  // Item 0 receives exactly its own three gradients.
+  float item0 = 0.f;
+  for (int k = 0; k < 12; ++k) item0 += dx.at(0, 0, k / 6, k % 6);
+  EXPECT_EQ(item0, 1.f + 2.f + 3.f);
+  EXPECT_EQ(dx.at(0, 0, 0, 0), 0.f);
+}
+
+// ExecPlan's max-pool op is the eager kernel without the argmax: a
+// compiled forward through two pools (the second with an odd output
+// width) equals the plain layer-by-layer walk.
+TEST(PoolTest, PlanForwardMatchesEagerWalk) {
+  struct PlanOn {
+    PlanOn() { nn::plan_detail::force_plan(1); }
+    ~PlanOn() { nn::plan_detail::force_plan(-1); }
+  } plans;
+  Rng rng(33);
+  nn::Sequential net;
+  net.emplace<nn::Conv2d>(3, 4, 3, 1, 1, rng);
+  net.emplace<nn::MaxPool2x2>();
+  net.emplace<nn::ReLU>(0.1f);
+  net.emplace<nn::MaxPool2x2>();
+  net.emplace<nn::Conv2d>(4, 5, 3, 1, 1, rng);
+  std::vector<nn::Module*> layers;
+  for (std::size_t i = 0; i < net.size(); ++i) layers.push_back(&net.child(i));
+  for (int n : {1, 3}) {
+    const Tensor x = pool_input(n, 3, 12, 20, rng);
+    const Tensor eager = net.forward(x, /*train=*/false);
+    nn::PlanCache cache("pool");
+    nn::InferenceModeScope inference;
+    nn::ExecPlan* plan = cache.plan_for(layers, x);
+    ASSERT_NE(plan, nullptr);
+    EXPECT_TRUE(same_bits(plan->execute(x), eager)) << "batch " << n;
+  }
 }
 
 TEST(PoolTest, GlobalAvgPoolForwardBackward) {
