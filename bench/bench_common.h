@@ -3,6 +3,7 @@
 // registry. Every bench prints the rows of its paper table via eval::Table.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <iostream>

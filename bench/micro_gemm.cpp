@@ -51,7 +51,9 @@
 //
 // The "gaussian" section times the seed's scalar Box–Muller loop
 // (Rng::gaussian per element) against the gaussian_fill() array kernel
-// over a fixed seeded 1M-element fill, in ns per element. `identical`
+// over a fixed seeded 1M-element fill, in ns per element, and the engine
+// words behind it: 2^20 words drawn one operator() call at a time against
+// Mt19937_64::fill in gaussian_fill's chunks, in ns per word. `identical`
 // asserts equal bits and an equal engine position afterwards; `speedup`
 // has an in-run floor keyed on the backend.
 #include <algorithm>
@@ -630,10 +632,43 @@ int main() {
     const double speedup = seed_ms / kernel_ms;
     std::printf(
         "    {\"name\": \"gaussian_1m\", \"n\": %zu, \"seed_ns\": %.3f, "
-        "\"kernel_ns\": %.3f, \"speedup\": %.2f, \"identical\": %s}\n",
+        "\"kernel_ns\": %.3f, \"speedup\": %.2f, \"identical\": %s},\n",
         kN, seed_ms * 1e6 / kN, kernel_ms * 1e6 / kN, speedup,
         identical ? "true" : "false");
     run.manifest().set("gaussian_speedup", speedup);
+  }
+  // The same seed's engine words, one call at a time vs bulk fill(), in
+  // gaussian_fill's chunks. Checked over all 2^20 words and the position
+  // after them, then timed into one chunk-sized buffer that stays in L1,
+  // as gaussian_fill's stack buffer does.
+  {
+    constexpr std::size_t kN = std::size_t{1} << 20;
+    constexpr std::size_t kChunk = 2 * vmath_detail::kGaussianChunk;
+    std::vector<std::uint64_t> w_seed(kN), w_fill(kN);
+    Rng seed_rng(932), fill_rng(932);
+    for (auto& w : w_seed) w = seed_rng.engine()();
+    for (std::size_t i = 0; i < kN; i += kChunk)
+      fill_rng.engine().fill(w_fill.data() + i, kChunk);
+    const bool identical =
+        w_seed == w_fill && seed_rng.engine()() == fill_rng.engine()();
+    std::vector<std::uint64_t> chunk(kChunk);
+    const double seed_ms = best_ms(15, [&] {
+      Rng r(932);
+      for (std::size_t i = 0; i < kN; i += kChunk)
+        for (auto& w : chunk) w = r.engine()();
+    });
+    const double fill_ms = best_ms(15, [&] {
+      Rng r(932);
+      for (std::size_t i = 0; i < kN; i += kChunk)
+        r.engine().fill(chunk.data(), kChunk);
+    });
+    const double speedup = seed_ms / fill_ms;
+    std::printf(
+        "    {\"name\": \"mt_words_1m\", \"n\": %zu, \"seed_ns\": %.3f, "
+        "\"kernel_ns\": %.3f, \"speedup\": %.2f, \"identical\": %s}\n",
+        kN, seed_ms * 1e6 / kN, fill_ms * 1e6 / kN, speedup,
+        identical ? "true" : "false");
+    run.manifest().set("mt_words_speedup", speedup);
   }
   std::printf("  ]\n}\n");
   return 0;

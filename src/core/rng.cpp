@@ -1,5 +1,6 @@
 #include "core/rng.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/check.h"
@@ -7,6 +8,18 @@
 namespace advp {
 
 namespace {
+
+// mt19937_64's twist: word k becomes x[k + m] ^ A(upper bit of x[k] joined
+// to the lower 31 bits of x[k + 1]), indices mod n, in ascending k.
+constexpr std::size_t kMid = 156;  // m = n / 2
+constexpr std::uint64_t kUpperMask = ~std::uint64_t{0} << 31;
+constexpr std::uint64_t kMatrixA = 0xb5026f5aa96619e9ULL;
+
+inline std::uint64_t twist_word(std::uint64_t from, std::uint64_t cur,
+                                std::uint64_t next) {
+  const std::uint64_t y = (cur & kUpperMask) | (next & ~kUpperMask);
+  return from ^ (y >> 1) ^ ((y & 1) ? kMatrixA : 0);
+}
 
 // SplitMix64 finalizer: decorrelates derived seeds.
 std::uint64_t mix(std::uint64_t z) {
@@ -28,6 +41,39 @@ double to_unit(std::uint64_t bits) {
 }
 
 }  // namespace
+
+Mt19937_64::Mt19937_64(std::uint64_t seed) {
+  x_[0] = seed;
+  for (std::size_t i = 1; i < kN; ++i)
+    x_[i] = 6364136223846793005ULL * (x_[i - 1] ^ (x_[i - 1] >> 62)) + i;
+}
+
+// Words k < m read the old upper half, words m <= k < n - 1 the lower half
+// this twist already wrote, and the last word the new x[0]. Each loop's
+// reads are either not yet written (x[k + 1]) or written m iterations
+// earlier, so the compiler vectorizes both loops as written, and the
+// temper loop in fill(); bench/micro_gemm's mt_words_1m row gates that
+// fill() stays well ahead of single draws.
+void Mt19937_64::twist() {
+  for (std::size_t k = 0; k < kMid; ++k)
+    x_[k] = twist_word(x_[k + kMid], x_[k], x_[k + 1]);
+  for (std::size_t k = kMid; k < kN - 1; ++k)
+    x_[k] = twist_word(x_[k - kMid], x_[k], x_[k + 1]);
+  x_[kN - 1] = twist_word(x_[kMid - 1], x_[kN - 1], x_[0]);
+  pos_ = 0;
+}
+
+void Mt19937_64::fill(std::uint64_t* out, std::size_t n) {
+  while (n > 0) {
+    if (pos_ >= kN) twist();
+    const std::size_t take = std::min(n, kN - pos_);
+    const std::uint64_t* x = x_ + pos_;
+    for (std::size_t j = 0; j < take; ++j) out[j] = temper(x[j]);
+    pos_ += take;
+    out += take;
+    n -= take;
+  }
+}
 
 Rng Rng::split() {
   ++split_count_;

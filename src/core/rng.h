@@ -6,13 +6,51 @@
 // child stream, so parallel consumers never share state.
 #pragma once
 
+// <cmath> is not used here, but includers such as e2ebench/src/campaign.cpp
+// reach it only through this header.
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
-#include <random>
 #include <vector>
 
 namespace advp {
 
-/// Seeded PRNG wrapper around std::mt19937_64 with convenience samplers.
+/// The 64-bit Mersenne Twister, word for word std::mt19937_64: the standard
+/// fixes its seeding recurrence, the two-phase twist of 312 state words and
+/// the four-step temper, and tests/core_test.cpp holds this engine to
+/// std::mt19937_64. fill() draws words in bulk: it tempers straight from
+/// the state in one loop per twist, which the compiler vectorizes, as it
+/// does the twist. Every step is integer arithmetic, so the bulk draw
+/// cannot change a word or where the engine stands afterwards.
+class Mt19937_64 {
+ public:
+  explicit Mt19937_64(std::uint64_t seed);
+
+  /// The next word.
+  std::uint64_t operator()() {
+    if (pos_ >= kN) twist();
+    return temper(x_[pos_++]);
+  }
+  /// Writes the next n words to out, in order, leaving the engine where n
+  /// operator() calls would.
+  void fill(std::uint64_t* out, std::size_t n);
+
+ private:
+  static constexpr std::size_t kN = 312;
+
+  static std::uint64_t temper(std::uint64_t y) {
+    y ^= (y >> 29) & 0x5555555555555555ULL;
+    y ^= (y << 17) & 0x71d67fffeda60000ULL;
+    y ^= (y << 37) & 0xfff7eee000000000ULL;
+    return y ^ (y >> 43);
+  }
+  void twist();
+
+  std::uint64_t x_[kN];
+  std::size_t pos_ = kN;
+};
+
+/// Seeded PRNG wrapper around Mt19937_64 with convenience samplers.
 /// Samplers are hand-rolled from raw engine bits (not std::*_distribution,
 /// whose sequences are implementation-defined), so a given seed produces the
 /// same draws on every platform and standard library.
@@ -44,7 +82,7 @@ class Rng {
                                                       std::size_t k);
 
   std::uint64_t seed() const { return seed_; }
-  std::mt19937_64& engine() { return engine_; }
+  Mt19937_64& engine() { return engine_; }
 
   /// Seed for the `index`-th parallel stream of a base seed: deterministic,
   /// order-independent, and decorrelated across indices (SplitMix64 mix).
@@ -62,7 +100,7 @@ class Rng {
  private:
   std::uint64_t bounded(std::uint64_t range);
 
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
   std::uint64_t seed_;
   std::uint64_t split_count_ = 0;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 
 #include "core/check.h"
@@ -18,70 +19,62 @@ float iou(const Box& a, const Box& b) {
   return uni <= 0.f ? 0.f : inter / uni;
 }
 
+namespace {
+
+// Checked before the storage is sized: a negative side would otherwise
+// reach std::vector as a huge count.
+std::size_t checked_numel(int width, int height) {
+  ADVP_CHECK_MSG(width > 0 && height > 0,
+                 "Image: bad size " << width << "x" << height);
+  return static_cast<std::size_t>(width) * static_cast<std::size_t>(height) *
+         3;
+}
+
+// The one HWC <-> CHW pass behind every image/tensor conversion.
+void hwc_to_chw(const float* hwc, std::size_t plane, float* chw) {
+  for (std::size_t p = 0; p < plane; ++p)
+    for (std::size_t c = 0; c < 3; ++c) chw[c * plane + p] = hwc[p * 3 + c];
+}
+
+void chw_to_hwc(const float* chw, std::size_t plane, float* hwc) {
+  for (std::size_t p = 0; p < plane; ++p)
+    for (std::size_t c = 0; c < 3; ++c) hwc[p * 3 + c] = chw[c * plane + p];
+}
+
+}  // namespace
+
 Image::Image(int width, int height, float fill)
     : width_(width),
       height_(height),
-      data_(static_cast<std::size_t>(width) * height * 3, fill) {
-  ADVP_CHECK_MSG(width > 0 && height > 0, "Image: bad size");
-}
-
-float& Image::at(int x, int y, int c) {
-  ADVP_DCHECK(x >= 0 && x < width_ && y >= 0 && y < height_ && c >= 0 && c < 3);
-  return data_[(static_cast<std::size_t>(y) * width_ + x) * 3 +
-               static_cast<std::size_t>(c)];
-}
-
-float Image::at(int x, int y, int c) const {
-  ADVP_DCHECK(x >= 0 && x < width_ && y >= 0 && y < height_ && c >= 0 && c < 3);
-  return data_[(static_cast<std::size_t>(y) * width_ + x) * 3 +
-               static_cast<std::size_t>(c)];
-}
-
-void Image::set_pixel(int x, int y, float r, float g, float b) {
-  if (x < 0 || x >= width_ || y < 0 || y >= height_) return;
-  at(x, y, 0) = r;
-  at(x, y, 1) = g;
-  at(x, y, 2) = b;
-}
-
-void Image::blend_pixel(int x, int y, float r, float g, float b, float a) {
-  if (x < 0 || x >= width_ || y < 0 || y >= height_) return;
-  at(x, y, 0) = (1.f - a) * at(x, y, 0) + a * r;
-  at(x, y, 1) = (1.f - a) * at(x, y, 1) + a * g;
-  at(x, y, 2) = (1.f - a) * at(x, y, 2) + a * b;
-}
+      data_(checked_numel(width, height), fill) {}
 
 Tensor Image::to_tensor() const {
   ADVP_CHECK(!empty());
-  Tensor t({3, height_, width_});
-  for (int c = 0; c < 3; ++c)
-    for (int y = 0; y < height_; ++y)
-      for (int x = 0; x < width_; ++x) t.at(c, y, x) = at(x, y, c);
+  Tensor t = Tensor::uninitialized({3, height_, width_});
+  hwc_to_chw(data(), numel() / 3, t.data());
   return t;
 }
 
 Tensor Image::to_batch() const {
-  return to_tensor().reshape({1, 3, height_, width_});
+  ADVP_CHECK(!empty());
+  Tensor t = Tensor::uninitialized({1, 3, height_, width_});
+  hwc_to_chw(data(), numel() / 3, t.data());
+  return t;
 }
 
 Image Image::from_tensor(const Tensor& chw) {
   ADVP_CHECK(chw.rank() == 3 && chw.dim(0) == 3);
-  const int h = chw.dim(1), w = chw.dim(2);
-  Image img(w, h);
-  for (int c = 0; c < 3; ++c)
-    for (int y = 0; y < h; ++y)
-      for (int x = 0; x < w; ++x) img.at(x, y, c) = chw.at(c, y, x);
+  Image img(chw.dim(2), chw.dim(1));
+  chw_to_hwc(chw.data(), img.numel() / 3, img.data());
   return img;
 }
 
 Image Image::from_batch(const Tensor& nchw, int index) {
   ADVP_CHECK(nchw.rank() == 4 && nchw.dim(1) == 3);
   ADVP_CHECK(index >= 0 && index < nchw.dim(0));
-  const int h = nchw.dim(2), w = nchw.dim(3);
-  Image img(w, h);
-  for (int c = 0; c < 3; ++c)
-    for (int y = 0; y < h; ++y)
-      for (int x = 0; x < w; ++x) img.at(x, y, c) = nchw.at(index, c, y, x);
+  Image img(nchw.dim(3), nchw.dim(2));
+  chw_to_hwc(nchw.data() + static_cast<std::size_t>(index) * img.numel(),
+             img.numel() / 3, img.data());
   return img;
 }
 
@@ -101,13 +94,13 @@ float Image::mean_abs_diff(const Image& other) const {
 Tensor images_to_batch(const std::vector<Image>& images) {
   ADVP_CHECK(!images.empty());
   const int h = images[0].height(), w = images[0].width();
-  Tensor batch({static_cast<int>(images.size()), 3, h, w});
+  Tensor batch =
+      Tensor::uninitialized({static_cast<int>(images.size()), 3, h, w});
+  const std::size_t per_image = images[0].numel();
   for (std::size_t i = 0; i < images.size(); ++i) {
     ADVP_CHECK(images[i].width() == w && images[i].height() == h);
-    for (int c = 0; c < 3; ++c)
-      for (int y = 0; y < h; ++y)
-        for (int x = 0; x < w; ++x)
-          batch.at(static_cast<int>(i), c, y, x) = images[i].at(x, y, c);
+    hwc_to_chw(images[i].data(), per_image / 3,
+               batch.data() + i * per_image);
   }
   return batch;
 }
@@ -132,15 +125,26 @@ Image read_ppm(const std::string& path) {
   int w = 0, h = 0, maxval = 0;
   is >> magic >> w >> h >> maxval;
   ADVP_CHECK_MSG(magic == "P6" && maxval == 255, "read_ppm: unsupported format");
+  ADVP_CHECK_MSG(w > 0 && h > 0, "read_ppm: bad size " << w << "x" << h);
   is.get();  // single whitespace after header
+  // The header is outside input: size the image only once the payload it
+  // declares is known to be there.
+  const std::streampos payload = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::streamoff available = is.tellg() - payload;
+  is.seekg(payload);
+  const std::uint64_t bytes = std::uint64_t{3} * static_cast<std::uint64_t>(w) *
+                              static_cast<std::uint64_t>(h);
+  ADVP_CHECK_MSG(is.good() && available >= 0 &&
+                     static_cast<std::uint64_t>(available) >= bytes,
+                 "read_ppm: truncated file");
   Image img(w, h);
-  for (int y = 0; y < h; ++y)
-    for (int x = 0; x < w; ++x)
-      for (int c = 0; c < 3; ++c) {
-        const int byte = is.get();
-        ADVP_CHECK_MSG(byte >= 0, "read_ppm: truncated file");
-        img.at(x, y, c) = static_cast<float>(byte) / 255.f;
-      }
+  float* p = img.data();
+  for (std::size_t i = 0; i < img.numel(); ++i) {
+    const int byte = is.get();
+    ADVP_CHECK_MSG(byte >= 0, "read_ppm: truncated file");
+    p[i] = static_cast<float>(byte) / 255.f;
+  }
   return img;
 }
 

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/check.h"
 #include "tensor/tensor.h"
 
 namespace advp {
@@ -34,6 +35,7 @@ float iou(const Box& a, const Box& b);
 class Image {
  public:
   Image() = default;
+  /// Throws CheckError unless width and height are positive.
   Image(int width, int height, float fill = 0.f);
 
   int width() const { return width_; }
@@ -45,13 +47,27 @@ class Image {
   const float* data() const { return data_.data(); }
 
   /// Channel c in {0,1,2} at pixel (x, y). No bounds checks in release.
-  float& at(int x, int y, int c);
-  float at(int x, int y, int c) const;
+  float& at(int x, int y, int c) {
+    ADVP_DCHECK(x >= 0 && x < width_ && y >= 0 && y < height_ && c >= 0 &&
+                c < 3);
+    return data_[(static_cast<std::size_t>(y) * width_ + x) * 3 +
+                 static_cast<std::size_t>(c)];
+  }
+  float at(int x, int y, int c) const {
+    ADVP_DCHECK(x >= 0 && x < width_ && y >= 0 && y < height_ && c >= 0 &&
+                c < 3);
+    return data_[(static_cast<std::size_t>(y) * width_ + x) * 3 +
+                 static_cast<std::size_t>(c)];
+  }
 
   /// Sets pixel (x,y) to (r,g,b), ignoring out-of-bounds coordinates.
-  void set_pixel(int x, int y, float r, float g, float b);
-  /// Alpha-blends (r,g,b) over pixel (x,y); a in [0,1].
-  void blend_pixel(int x, int y, float r, float g, float b, float a);
+  void set_pixel(int x, int y, float r, float g, float b) {
+    if (x < 0 || x >= width_ || y < 0 || y >= height_) return;
+    float* p = &at(x, y, 0);
+    p[0] = r;
+    p[1] = g;
+    p[2] = b;
+  }
 
   /// CHW tensor [3,H,W].
   Tensor to_tensor() const;
@@ -75,7 +91,9 @@ Tensor images_to_batch(const std::vector<Image>& images);
 
 /// Writes a binary PPM (P6) for eyeballing generated scenes.
 void write_ppm(const Image& img, const std::string& path);
-/// Reads a binary PPM back (used by tests for round-tripping).
+/// Reads a binary PPM back (used by tests for round-tripping). Throws
+/// CheckError on a bad header or a payload shorter than the header declares,
+/// before allocating the image.
 Image read_ppm(const std::string& path);
 
 }  // namespace advp

@@ -10,6 +10,25 @@
 
 namespace advp {
 
+namespace {
+
+// Channel c interpolated between pixels (x0, y0) and (x1, y1) at weights
+// tx, ty. The lerps are spelled as fused multiply-adds, fusing the t
+// product in x and the (1 - t) product in y: the recorded hashes
+// (TrainGradTest's contrastive epoch) pin those bits, and left to FMA
+// contraction the compiler picks which product to fuse by code shape, so
+// the choice changes with what it inlines.
+float bilerp(const Image& img, int x0, int y0, int x1, int y1, float tx,
+             float ty, int c) {
+  const float top =
+      std::fma(img.at(x1, y0, c), tx, img.at(x0, y0, c) * (1.f - tx));
+  const float bot =
+      std::fma(img.at(x1, y1, c), tx, img.at(x0, y1, c) * (1.f - tx));
+  return std::fma(top, 1.f - ty, bot * ty);
+}
+
+}  // namespace
+
 Image median_blur(const Image& img, int kernel) {
   ADVP_CHECK_MSG(kernel == 3 || kernel == 5, "median_blur: kernel must be 3 or 5");
   const int r = kernel / 2;
@@ -68,11 +87,8 @@ Image resize_bilinear(const Image& img, int new_w, int new_h) {
       const int y1 = std::min(y0 + 1, img.height() - 1);
       const float tx = std::clamp(fx - static_cast<float>(x0), 0.f, 1.f);
       const float ty = std::clamp(fy - static_cast<float>(y0), 0.f, 1.f);
-      for (int c = 0; c < 3; ++c) {
-        const float top = img.at(x0, y0, c) * (1.f - tx) + img.at(x1, y0, c) * tx;
-        const float bot = img.at(x0, y1, c) * (1.f - tx) + img.at(x1, y1, c) * tx;
-        out.at(x, y, c) = top * (1.f - ty) + bot * ty;
-      }
+      for (int c = 0; c < 3; ++c)
+        out.at(x, y, c) = bilerp(img, x0, y0, x1, y1, tx, ty, c);
     }
   return out;
 }
@@ -144,11 +160,8 @@ Image rotate(const Image& img, float radians) {
       const int y1 = std::min(y0 + 1, img.height() - 1);
       const float tx = sxf - static_cast<float>(x0);
       const float ty = syf - static_cast<float>(y0);
-      for (int c = 0; c < 3; ++c) {
-        const float top = img.at(x0, y0, c) * (1.f - tx) + img.at(x1, y0, c) * tx;
-        const float bot = img.at(x0, y1, c) * (1.f - tx) + img.at(x1, y1, c) * tx;
-        out.at(x, y, c) = top * (1.f - ty) + bot * ty;
-      }
+      for (int c = 0; c < 3; ++c)
+        out.at(x, y, c) = bilerp(img, x0, y0, x1, y1, tx, ty, c);
     }
   return out;
 }

@@ -8,7 +8,15 @@
 #include <cstdlib>
 #include <functional>
 #include <mutex>
+#include <new>
 #include <utility>
+
+// Plan slots get mapped pages on Linux. AddressSanitizer builds keep them
+// on the heap, where its allocation fill and redzones cover them.
+#if defined(__linux__) && !defined(__SANITIZE_ADDRESS__)
+#define ADVP_MAP_PLAN_SLOTS 1
+#include <sys/mman.h>
+#endif
 
 #include "core/check.h"
 #include "core/obs.h"
@@ -206,6 +214,45 @@ struct PlanOp {
 
 }  // namespace
 
+// The slots are the largest buffers a forward writes. Mapped, they get
+// pages of their own, returned when the last plan on them goes, so
+// compiling and dropping plans leaves no slot-sized holes in the malloc
+// heap: the resident set follows the live plans, not the heap's history.
+// The compile's warm-up writes the slots whole, so the mapping call faults
+// the pages in at once rather than one fault at a time.
+struct PlanSlots {
+  PlanSlots(std::size_t elems0, std::size_t elems1)
+      : elems{elems0, elems1} {
+    const std::size_t off = (elems0 * sizeof(float) + 63) & ~std::size_t{63};
+    bytes = off + elems1 * sizeof(float);
+    if (bytes == 0) return;
+#ifdef ADVP_MAP_PLAN_SLOTS
+    map = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_POPULATE, -1, 0);
+    if (map == MAP_FAILED) throw std::bad_alloc();
+#else
+    map = ::operator new(bytes, std::align_val_t(64));
+#endif
+    buf[0] = static_cast<float*>(map);
+    buf[1] = reinterpret_cast<float*>(static_cast<char*>(map) + off);
+  }
+  ~PlanSlots() {
+    if (bytes == 0) return;
+#ifdef ADVP_MAP_PLAN_SLOTS
+    ::munmap(map, bytes);
+#else
+    ::operator delete(map, std::align_val_t(64));
+#endif
+  }
+  PlanSlots(const PlanSlots&) = delete;
+  PlanSlots& operator=(const PlanSlots&) = delete;
+
+  std::size_t elems[2];
+  std::size_t bytes = 0;
+  void* map = nullptr;
+  float* buf[2] = {nullptr, nullptr};
+};
+
 struct ExecPlan::Impl {
   bool compiled = false;
   std::string label;
@@ -214,13 +261,13 @@ struct ExecPlan::Impl {
   GemmPrecision prec = GemmPrecision::kFp32;
   std::uint64_t generation = 0;
   std::vector<PlanOp> ops;
-  AlignedBuffer slots[2];
+  std::shared_ptr<PlanSlots> slots;
   std::size_t slot_elems[2] = {0, 0};
   Tensor out;
   std::vector<PlannedGemm> gemms;
 
   float* buffer(int idx) {
-    return idx == 2 ? out.data() : slots[idx].data();
+    return idx == 2 ? out.data() : slots->buf[idx];
   }
 
   void run(const Tensor& x);
@@ -229,6 +276,9 @@ struct ExecPlan::Impl {
 };
 
 ExecPlan::ExecPlan() : impl_(new Impl) {}
+ExecPlan::ExecPlan(std::shared_ptr<PlanSlots> slots) : impl_(new Impl) {
+  impl_->slots = std::move(slots);
+}
 ExecPlan::~ExecPlan() = default;
 ExecPlan::ExecPlan(ExecPlan&&) noexcept = default;
 ExecPlan& ExecPlan::operator=(ExecPlan&&) noexcept = default;
@@ -240,6 +290,9 @@ const std::vector<int>& ExecPlan::input_shape() const {
 GemmPrecision ExecPlan::tier() const { return impl_->prec; }
 std::size_t ExecPlan::arena_bytes() const {
   return (impl_->slot_elems[0] + impl_->slot_elems[1]) * sizeof(float);
+}
+const std::shared_ptr<PlanSlots>& ExecPlan::slots() const {
+  return impl_->slots;
 }
 const std::vector<PlannedGemm>& ExecPlan::gemms() const {
   return impl_->gemms;
@@ -474,14 +527,18 @@ bool ExecPlan::compile(const std::vector<Module*>& layers,
       im.slot_elems[op.dst] = std::max(im.slot_elems[op.dst], op.out_elems);
     }
   }
-  im.slots[0].resize_floats(im.slot_elems[0]);
-  im.slots[1].resize_floats(im.slot_elems[1]);
+  // Other plans may run on these slots, so they are never reallocated: a
+  // plan they cannot hold gets slots of its own.
+  if (!im.slots || im.slots->elems[0] < im.slot_elems[0] ||
+      im.slots->elems[1] < im.slot_elems[1]) {
+    im.slots =
+        std::make_shared<PlanSlots>(im.slot_elems[0], im.slot_elems[1]);
+    ADVP_OBS_COUNT(kPlanArenaBytes, arena_bytes());
+  }
   im.out_shape = shape;
   im.out = Tensor(shape);
 
   ADVP_OBS_COUNT(kPlanCompiles, 1);
-  ADVP_OBS_COUNT(kPlanArenaBytes,
-                 (im.slot_elems[0] + im.slot_elems[1]) * sizeof(float));
   im.compiled = true;
 
   // Warm-up execute on zeros, every item and column stripe on this
@@ -776,11 +833,13 @@ ExecPlan* PlanCache::lookup(const std::vector<Module*>& layers,
       return nullptr;
     }
   }
-  auto plan = std::make_unique<ExecPlan>();
+  auto plan = std::make_unique<ExecPlan>(slots_);
   if (!plan->compile(layers, shape, tier, label_)) {
     failed_.push_back({shape, tier, gen});
     return nullptr;
   }
+  // Unchanged when the plan fit the shared slots; its own when it did not.
+  slots_ = plan->slots();
   plans_.insert(plans_.begin(), std::move(plan));
   if (plans_.size() > kMaxPlans) plans_.pop_back();
   return plans_.front().get();
@@ -789,6 +848,7 @@ ExecPlan* PlanCache::lookup(const std::vector<Module*>& layers,
 void PlanCache::clear() {
   plans_.clear();
   failed_.clear();
+  slots_.reset();
 }
 
 }  // namespace advp::nn

@@ -15,6 +15,10 @@
 //  3. Buffer schedule — the op chain is single-input/single-output, so
 //     liveness analysis degenerates to two ping-pong arena slots (plus
 //     the plan-owned output tensor), pre-allocated at compile time.
+//     On Linux the slots get pages of their own, off the malloc heap. A
+//     plan that fits the slots of a larger plan of the same PlanCache
+//     runs on those, so a model compiled for its largest batch allocates
+//     no activation memory for the smaller ones.
 //     Reshapes (Flatten) and eval-mode Dropout are aliases: zero copies,
 //     zero ops. Steady-state execution performs zero heap allocations —
 //     asserted through the plan_steady_allocs obs counter, not by eye.
@@ -73,13 +77,23 @@ struct PlannedGemm {
   GemmBlocking blocking;
 };
 
+/// The two ping-pong buffers a compiled plan runs its intermediates
+/// through. They hold nothing between executes, so plans that never run
+/// at the same time can share one set. Slots are never reallocated once
+/// a plan runs on them.
+struct PlanSlots;
+
 /// A model compiled for one (input shape, precision tier). Compile once,
 /// execute on every matching forward; see the file comment for what the
 /// compiler does. Not thread-safe: one plan serves one caller at a time
-/// (the serve layer already serializes per-tenant execution).
+/// (the serve layer already serializes per-tenant execution), and plans
+/// built on the same PlanSlots execute one at a time.
 class ExecPlan {
  public:
   ExecPlan();
+  /// @brief A plan that runs on `slots` (may be null) wherever they are
+  /// large enough, and on slots of its own otherwise.
+  explicit ExecPlan(std::shared_ptr<PlanSlots> slots);
   ~ExecPlan();
   ExecPlan(ExecPlan&&) noexcept;
   ExecPlan& operator=(ExecPlan&&) noexcept;
@@ -110,8 +124,11 @@ class ExecPlan {
 
   const std::vector<int>& input_shape() const;
   GemmPrecision tier() const;
-  /// Bytes pre-allocated for intermediate buffers (the ping-pong arena).
+  /// Bytes of intermediate buffers (the ping-pong arena) this plan needs;
+  /// shared slots may hold more.
   std::size_t arena_bytes() const;
+  /// The slots this plan runs on, for a later plan to share.
+  const std::shared_ptr<PlanSlots>& slots() const;
   /// Planned GEMM shapes with their autotuned blocking.
   const std::vector<PlannedGemm>& gemms() const;
   /// "mxkxn:mc/kc/nc;..." summary of gemms() (manifest/bench string).
@@ -126,7 +143,9 @@ class ExecPlan {
 /// Models own one and consult it from their forward entry points; the
 /// cache compiles lazily, recompiles stale plans in place, and remembers
 /// (shape, tier) keys that failed to compile so unsupported models pay
-/// one attempt, not one per forward.
+/// one attempt, not one per forward. A model runs one forward at a time,
+/// so each new plan is offered the slots of the largest plan compiled so
+/// far.
 class PlanCache {
  public:
   explicit PlanCache(std::string label = "model") : label_(std::move(label)) {}
@@ -165,6 +184,7 @@ class PlanCache {
     std::uint64_t generation;
   };
   std::vector<FailedKey> failed_;
+  std::shared_ptr<PlanSlots> slots_;  // the largest plan's, or null
 };
 
 }  // namespace advp::nn

@@ -374,10 +374,9 @@ bool gaussian_parts(const std::uint64_t* w, std::size_t n, double* ln_u1,
 void gaussian_fill(float* y, std::size_t n, double sigma, Rng& rng) {
   constexpr std::size_t kChunk = vmath_detail::kGaussianChunk;
   std::uint64_t words[2 * kChunk];
-  auto& engine = rng.engine();
   for (std::size_t i = 0; i < n; i += kChunk) {
     const std::size_t m = std::min(kChunk, n - i);
-    for (std::size_t j = 0; j < 2 * m; ++j) words[j] = engine();
+    rng.engine().fill(words, 2 * m);
     vmath_detail::gaussian_from_words(words, m, sigma, y + i);
   }
 }

@@ -4,7 +4,10 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <set>
+#include <vector>
 
 #include "core/check.h"
 #include "core/parallel.h"
@@ -93,6 +96,36 @@ TEST(RngTest, SampleWithoutReplacementUnique) {
   std::set<std::size_t> unique(s.begin(), s.end());
   EXPECT_EQ(unique.size(), 10u);
   EXPECT_THROW(rng.sample_without_replacement(5, 6), CheckError);
+}
+
+// The in-tree engine against the standard library's, which the standard
+// pins: fill() of every length around a vector (8), the twist's phase
+// boundary (156) and the state size (312), interleaved with single draws so
+// that each fill also has to leave the engine at the right word.
+TEST(RngTest, EngineMatchesStdMt19937_64) {
+  Mt19937_64 check(5489);
+  std::uint64_t word = 0;
+  for (int i = 0; i < 10000; ++i) word = check();
+  EXPECT_EQ(word, 9981545732273789042ULL);  // [rand.predef]
+
+  const std::uint64_t seeds[] = {0, 5489, 0x5eed, ~std::uint64_t{0},
+                                 Rng::stream_seed(7, 3)};
+  const std::size_t lengths[] = {0,   1,   7,   8,   9,   155, 156,
+                                 157, 311, 312, 313, 624, 1000};
+  for (const std::uint64_t seed : seeds) {
+    std::mt19937_64 ref(seed);
+    Rng rng(seed);
+    std::vector<std::uint64_t> words;
+    for (const std::size_t n : lengths) {
+      words.assign(n, 0);
+      rng.engine().fill(words.data(), n);
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(words[i], ref()) << "seed " << seed << ", fill(" << n
+                                   << ") word " << i;
+      ASSERT_EQ(rng.engine()(), ref())
+          << "seed " << seed << ", first word after fill(" << n << ")";
+    }
+  }
 }
 
 TEST(ParallelTest, CoversEveryIndexOnce) {

@@ -1,11 +1,12 @@
 // Execution-plan compiler: bit-identity of compiled plans against the
 // eager and fused paths across precision tiers, worker counts, and batch
 // sizes; cache invalidation on weight-generation bumps; per-shape plan
-// caching; the zero-steady-state-allocation contract; and autotune
-// on/off parity.
+// caching and the slots a cache's plans share; the
+// zero-steady-state-allocation contract; and autotune on/off parity.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "core/obs.h"
@@ -155,6 +156,86 @@ TEST(PlanBitIdentity, UncommonLayersMatchFused) {
   ExecPlan* plan = cache.plan_for(layers, x);
   ASSERT_NE(plan, nullptr);
   EXPECT_TRUE(bitwise_equal(plan->execute(x), fused));
+}
+
+// A plan that fits the slots of a larger plan of its PlanCache runs on
+// them: once the largest batch is compiled, smaller ones allocate no
+// activation memory. Slots are never reallocated under a plan, and every
+// plan, on shared slots or its own, gives the bits of a plan compiled
+// alone, whatever order they execute in.
+TEST(PlanCacheTest, SmallerPlansRunOnTheLargestPlansSlots) {
+  HookGuard guard;
+  plan_detail::force_plan(1);
+  Rng rng(15);
+  Sequential net;
+  net.emplace<Conv2d>(3, 8, 3, 1, 1, rng);
+  net.emplace<ReLU>();
+  net.emplace<MaxPool2x2>();
+  net.emplace<Conv2d>(8, 8, 3, 1, 1, rng);
+  net.emplace<SiLU>();
+  net.emplace<GlobalAvgPool>();
+  net.emplace<Linear>(8, 4, rng);
+  std::vector<Module*> layers;
+  for (std::size_t i = 0; i < net.size(); ++i) layers.push_back(&net.child(i));
+  auto shape = [](int batch) { return std::vector<int>{batch, 3, 16, 16}; };
+  const GemmPrecision fp32 = GemmPrecision::kFp32;
+  // Slot bytes allocated by compiles since the last obs::reset().
+  auto allocated = [] {
+    return obs::counter_value(obs::Counter::kPlanArenaBytes);
+  };
+  std::vector<std::pair<int, ExecPlan*>> plans;
+  auto compile = [&](PlanCache& cache, int batch) {
+    ExecPlan* plan = cache.compile_now(layers, shape(batch), fp32);
+    if (plan) plans.emplace_back(batch, plan);
+    return plan;
+  };
+
+  obs::enable();
+  obs::reset();
+  PlanCache largest_first("largest_first");
+  const ExecPlan* eight = compile(largest_first, 8);
+  ASSERT_NE(eight, nullptr);
+  const std::size_t full = eight->arena_bytes();
+  EXPECT_GT(full, 0u);
+  EXPECT_EQ(allocated(), full);
+  for (int batch : {1, 3, 5, 7}) {
+    const ExecPlan* plan = compile(largest_first, batch);
+    ASSERT_NE(plan, nullptr);
+    EXPECT_LT(plan->arena_bytes(), full);
+    EXPECT_EQ(plan->slots(), eight->slots()) << "batch " << batch;
+  }
+  EXPECT_EQ(allocated(), full) << "a smaller plan allocated slots";
+
+  // Smallest first: the larger plan gets slots of its own, leaving the
+  // smaller plan's in place, and later plans share the larger ones.
+  obs::reset();
+  PlanCache smallest_first("smallest_first");
+  const ExecPlan* one = compile(smallest_first, 1);
+  ASSERT_NE(one, nullptr);
+  const std::size_t small = one->arena_bytes();
+  EXPECT_EQ(allocated(), small);
+  const ExecPlan* big = compile(smallest_first, 8);
+  ASSERT_NE(big, nullptr);
+  EXPECT_NE(big->slots(), one->slots());
+  const ExecPlan* five = compile(smallest_first, 5);
+  ASSERT_NE(five, nullptr);
+  EXPECT_EQ(five->slots(), big->slots());
+  EXPECT_EQ(allocated(), small + full);
+  obs::enable(false);
+  obs::reset();
+
+  for (int round = 0; round < 2; ++round)
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      // Alternate the two caches and mix the batch sizes.
+      const auto& [batch, plan] = plans[(i * 5 + round) % plans.size()];
+      Rng xr(300 + 10 * round + static_cast<std::uint64_t>(batch));
+      const Tensor x = Tensor::rand(shape(batch), xr);
+      ExecPlan alone;
+      ASSERT_TRUE(alone.compile(layers, shape(batch), fp32));
+      const Tensor expected = alone.execute(x);
+      EXPECT_TRUE(bitwise_equal(plan->execute(x), expected))
+          << "batch " << batch << ", round " << round;
+    }
 }
 
 TEST(PlanCacheTest, RecompilesAfterGenerationBumpAndTracksShapes) {
