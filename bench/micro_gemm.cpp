@@ -37,11 +37,16 @@
 // between the SIMD and portable micro-kernels — the determinism contract
 // extends to reduced precision.
 //
-// The "conv" section measures the implicit-GEMM convolution path (pack_B
-// gathers patches straight from the NCHW image) against the staged
-// im2col + gemm path on the same warm fused footing —
-// `conv_implicit_speedup` must clear 1.15x in CI and `identical` asserts
-// the two paths agree bit-for-bit.
+// The "plan" section times whole-model inference through a compiled
+// nn::ExecPlan against the eager walk, the plan's bit-identity oracle —
+// `plan_speedup` must clear 1.10x in CI and `identical` asserts equal
+// bits.
+//
+// The "conv" section measures the implicit-GEMM convolution (pack_B
+// gathers patches straight from the NCHW image) against a staged
+// reference, im2col_lower plus one gemm() with the same GemmExtra, on the
+// same warm fused footing — `conv_implicit_speedup` must clear 1.15x in
+// CI and `identical` asserts the two agree bit-for-bit.
 //
 // The "sigmoid" section times the seed's scalar sigmoid expression on
 // libm's expf against the sigmoid() array kernel (tensor/vmath.h) over a
@@ -405,13 +410,11 @@ int main() {
     }
   }
   // ---- compiled execution plans --------------------------------------------
-  // Whole-model inference through nn::ExecPlan versus the uncompiled
-  // forward_fused walk, single-threaded and fully warm on both sides.
-  // `plan_speedup` (fused_ms / plan_ms) is the CI gate (>= 1.10), and
-  // `identical` asserts the compiled plan reproduces forward_fused
-  // bit-for-bit. `default_ms` recompiles with autotuning pinned off
-  // (the ADVP_TUNE=0 path) — also bit-identical, by the kernel's k-order
-  // contract.
+  // Whole-model inference through nn::ExecPlan versus the eager walk
+  // (Sequential::forward under an InferenceModeScope), single-threaded and
+  // fully warm on both sides. `plan_speedup` (eager_ms / plan_ms) is the
+  // CI gate (>= 1.10), and `identical` asserts the compiled plan
+  // reproduces the walk bit-for-bit.
   std::printf("  ],\n  \"plan\": [\n");
   {
     Rng mrng(1234);
@@ -433,76 +436,52 @@ int main() {
       const Tensor x =
           pc.is_yolo ? Tensor::rand({pc.batch, 3, 48, 48}, xr)
                      : Tensor::rand({pc.batch, 3, 48, 96}, xr);
-      // Both entry points open their own InferenceModeScope and consult
-      // the plan cache inside (detect/predict are the serving surfaces).
-      Tensor out_t;
-      std::vector<float> out_v;
-      auto fwd = [&]() {
-        if (pc.is_yolo) {
-          nn::InferenceModeScope inference;
-          out_t = yolo.forward_raw(x, /*train=*/false);
-        } else {
-          out_v = dist.predict(x);
-        }
-      };
-      auto same_output = [&](const Tensor& t, const std::vector<float>& v) {
-        if (pc.is_yolo) {
-          if (out_t.shape() != t.shape()) return false;
-          for (std::size_t i = 0; i < t.numel(); ++i)
-            if (out_t[i] != t[i]) return false;
-          return true;
-        }
-        return out_v == v;
-      };
       const int reps = 40;
       ScopedMaxWorkers one(1);
+      nn::InferenceModeScope inference;
+      Tensor eager;
+      auto walk = [&]() {
+        eager = pc.is_yolo ? yolo.head().forward(
+                                 yolo.backbone().forward(x, false), false)
+                           : dist.net().forward(x, /*train=*/false);
+      };
+      walk();
+      const double eager_ms = best_ms(reps, walk);
 
-      nn::plan_detail::force_plan(0);
-      fwd();
-      const Tensor fused_t = out_t;
-      const std::vector<float> fused_v = out_v;
-      const double fused_ms = best_ms(reps, [&] { fwd(); });
-
-      nn::plan_detail::force_plan(1);
-      fwd();  // compiles (autotuned) + warms
-      const double plan_ms = best_ms(reps, [&] { fwd(); });
-      bool identical = same_output(fused_t, fused_v);
-      std::string geometry;
-      if (nn::ExecPlan* plan = pc.is_yolo ? yolo.compile_plan(pc.batch)
-                                          : dist.compile_plan(pc.batch))
-        geometry = plan->geometry_string();
-
-      // Recompile with autotuning off: the build-default blocking.
-      nn::plan_detail::force_tune(0);
-      bump_weight_generation();
-      fwd();
-      const double default_ms = best_ms(reps, [&] { fwd(); });
-      identical = identical && same_output(fused_t, fused_v);
-      nn::plan_detail::force_tune(-1);
-      nn::plan_detail::force_plan(-1);
+      nn::ExecPlan* plan = pc.is_yolo ? yolo.compile_plan(pc.batch)
+                                      : dist.compile_plan(pc.batch);
+      const Tensor* planned = nullptr;
+      double plan_ms = 0.0;
+      if (plan) {
+        planned = &plan->execute(x);
+        plan_ms = best_ms(reps, [&] { planned = &plan->execute(x); });
+      }
+      bool identical = planned && planned->shape() == eager.shape();
+      for (std::size_t i = 0; identical && i < eager.numel(); ++i)
+        identical = (*planned)[i] == eager[i];
+      const double speedup = plan ? eager_ms / plan_ms : 0.0;
 
       std::printf(
-          "    {\"name\": \"%s\", \"batch\": %d, \"fused_ms\": %.4f, "
+          "    {\"name\": \"%s\", \"batch\": %d, \"eager_ms\": %.4f, "
           "\"plan_ms\": %.4f, \"plan_speedup\": %.2f, "
-          "\"default_ms\": %.4f, \"tuned_vs_default\": %.2f, "
           "\"geometry\": \"%s\", \"identical\": %s}%s\n",
-          pc.name, pc.batch, fused_ms, plan_ms, fused_ms / plan_ms,
-          default_ms, default_ms / plan_ms, geometry.c_str(),
-          identical ? "true" : "false",
-          ci + 1 < cases.size() ? "," : "");
-      run.manifest().set(std::string(pc.name) + "_speedup",
-                         fused_ms / plan_ms);
+          pc.name, pc.batch, eager_ms, plan_ms, speedup,
+          plan ? plan->geometry_string().c_str() : "",
+          identical ? "true" : "false", ci + 1 < cases.size() ? "," : "");
+      run.manifest().set(std::string(pc.name) + "_speedup", speedup);
     }
   }
   // ---- implicit-GEMM convolution -------------------------------------------
-  // Eager fused conv2d_forward with pack_B gathering patches straight from
-  // the NCHW image (the default) versus the staged im2col + gemm path
-  // (ADVP_IM2COL=staged), both warm and single-threaded with their own
-  // weight-cache slot, on every precision tier. Shapes where the column
-  // matrix dominates traffic (small Cin*K*K against wide N).
-  // `conv_implicit_speedup` (staged_ms / implicit_ms) is the CI gate
-  // (>= 1.15); `identical` asserts the gather order preserves the exact
-  // FMA sequence, so the two paths agree bit-for-bit.
+  // The conv forward's per-item loop (conv2d_forward_into: pack_B gathers
+  // patches straight from the NCHW image) versus a staged reference that
+  // lowers the batch into one wide column matrix with im2col_lower, runs
+  // one gemm() with the same GemmExtra (weight slot, tier, scale,
+  // bias+ReLU epilogue) and copies the items out. Both warm and
+  // single-threaded with their own weight-cache slot, on every precision
+  // tier. Shapes where the column matrix dominates traffic (small Cin*K*K
+  // against wide N). `conv_implicit_speedup` (staged_ms / implicit_ms) is
+  // the CI gate (>= 1.15); `identical` asserts the gather order preserves
+  // the exact FMA sequence, so the two agree bit-for-bit.
   std::printf("  ],\n  \"conv\": [\n");
   {
     struct ConvCase {
@@ -533,39 +512,66 @@ int main() {
       const Tensor w =
           Tensor::randn({cc.cout, cc.cin, cc.kernel, cc.kernel}, xr);
       const Tensor bias = Tensor::randn({cc.cout}, xr);
-      const double macs = static_cast<double>(cc.cout) * cc.cin * cc.kernel *
-                          cc.kernel * cc.batch * spec.out_h(cc.h) *
-                          spec.out_w(cc.w);
+      const int ho = spec.out_h(cc.h), wo = spec.out_w(cc.w);
+      const int patch = cc.cin * cc.kernel * cc.kernel;
+      const std::size_t pixels = static_cast<std::size_t>(ho) * wo;
+      const std::size_t wide = cc.batch * pixels;
+      const std::size_t x_stride =
+          static_cast<std::size_t>(cc.cin) * cc.h * cc.w;
+      const double macs = static_cast<double>(cc.cout) * patch * wide;
       const int reps = std::clamp(static_cast<int>(2e8 / macs), 5, 60);
-      const float act_scale = x.abs_max() / 127.f;  // calibrated scale
 
-      // One slot per mode: the weight panels are identical either way, but
-      // the slots are single-owner and the timing must not share warm-up.
-      auto timed = [&](int mode, Tensor* out) {
-        GemmCacheSlot slot;
-        ConvFusion fusion;
-        fusion.weight_cache = &slot;
-        fusion.act = Act::kReluLeaky;
-        fusion.precision = cc.prec;
-        if (cc.prec == GemmPrecision::kInt8) fusion.act_scale = act_scale;
-        gemm_detail::force_im2col(mode);
-        *out = conv2d_forward(x, w, bias, spec, &fusion);  // warm
-        const double ms = best_ms(
-            reps, [&] { *out = conv2d_forward(x, w, bias, spec, &fusion); });
-        gemm_detail::force_im2col(-1);
-        return ms;
+      GemmEpilogue epi;
+      epi.bias = bias.data();
+      epi.act = Act::kReluLeaky;
+      GemmExtra extra;
+      extra.epilogue = &epi;
+      extra.precision = cc.prec;
+      extra.act_scale = x.abs_max() / 127.f;  // calibrated scale
+      // One slot per route: the weight panels are identical either way,
+      // but the slots are single-owner and the timing must not share
+      // warm-up.
+      GemmCacheSlot slot_staged, slot_impl;
+      Tensor y_staged({cc.batch, cc.cout, ho, wo});
+      Tensor y_impl({cc.batch, cc.cout, ho, wo});
+      std::vector<float> cols(static_cast<std::size_t>(patch) * wide);
+      std::vector<float> ybuf(static_cast<std::size_t>(cc.cout) * wide);
+      auto staged = [&] {
+        for (int i = 0; i < cc.batch; ++i)
+          im2col_lower(x.data() + i * x_stride, cc.cin, cc.h, cc.w, spec,
+                       cols.data() + i * pixels, wide);
+        GemmExtra e = extra;
+        e.a_cache = &slot_staged;
+        // One item's columns are already its output layout.
+        float* out = cc.batch == 1 ? y_staged.data() : ybuf.data();
+        gemm(cc.cout, static_cast<int>(wide), patch, w.data(), patch,
+             /*trans_a=*/false, cols.data(), static_cast<int>(wide),
+             /*trans_b=*/false, out, static_cast<int>(wide),
+             /*accumulate=*/false, e);
+        if (cc.batch == 1) return;
+        for (int i = 0; i < cc.batch; ++i)
+          for (int oc = 0; oc < cc.cout; ++oc)
+            std::copy_n(ybuf.data() + oc * wide + i * pixels, pixels,
+                        &y_staged.at(i, oc, 0, 0));
+      };
+      auto implicit = [&] {
+        GemmExtra e = extra;
+        e.a_cache = &slot_impl;
+        conv2d_forward_into(x.data(), cc.batch, cc.cin, cc.h, cc.w, w.data(),
+                            spec, y_impl.data(), e);
       };
 
-      Tensor y_staged, y_impl;
       double staged_ms, impl_ms;
       {
         ScopedMaxWorkers one(1);
-        staged_ms = timed(0, &y_staged);
-        impl_ms = timed(1, &y_impl);
+        staged();  // warm
+        staged_ms = best_ms(reps, staged);
+        implicit();  // warm
+        impl_ms = best_ms(reps, implicit);
       }
-      bool identical = y_staged.shape() == y_impl.shape();
-      for (std::size_t i = 0; i < y_staged.numel() && identical; ++i)
-        identical = y_staged[i] == y_impl[i];
+      const bool identical =
+          std::memcmp(y_staged.data(), y_impl.data(),
+                      y_impl.numel() * sizeof(float)) == 0;
       const double speedup = staged_ms / impl_ms;
       std::printf(
           "    {\"name\": \"%s\", \"batch\": %d, \"cin\": %d, \"cout\": %d, "

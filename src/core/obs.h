@@ -138,15 +138,14 @@ std::vector<ModelArtifact> model_artifacts();
 
 /// One execution plan compiled by nn::ExecPlan while tracing was enabled.
 /// Manifests carry these under "plans" so a run records which models were
-/// served from compiled plans, at what shapes/tiers, and which GEMM
-/// blocking geometries the autotuner picked.
+/// served from compiled plans, at what shapes/tiers, and which GEMM shapes
+/// each plan runs.
 struct PlanRecord {
   std::string model;        ///< caller label, e.g. "tiny_yolo"
   std::string input_shape;  ///< "NxCxHxW" of the compiled input
   std::string tier;         ///< "fp32" / "bf16" / "int8"
   std::uint64_t arena_bytes = 0;  ///< pre-allocated intermediate bytes
-  /// Autotuned GEMM geometries, "mxkxn:mc/kc/nc" per planned GEMM
-  /// (0 = build default), ';'-joined.
+  /// Planned GEMM shapes, "mxkxn" per GEMM, ';'-joined.
   std::string geometry;
 };
 

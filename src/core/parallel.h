@@ -71,6 +71,9 @@ struct ScopedMaxWorkers {
 };
 
 /// @brief Runs body(i) for each i in [begin, end), possibly concurrently.
+/// A caller must hold no lock that a pool job can take: callers serialize
+/// on one dispatch mutex, so such a lock can deadlock against another
+/// thread's dispatch.
 /// @param begin First index (inclusive); an empty range is a no-op.
 /// @param end Last index (exclusive).
 /// @param body Loop body; must be safe to run concurrently for distinct i.

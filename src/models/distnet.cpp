@@ -73,7 +73,7 @@ Tensor DistNet::forward_normalized(const Tensor& batch, bool train) {
 
 std::vector<float> DistNet::predict(const Tensor& batch) {
   // Forward-only: loss_backward/prediction_grad never route through here,
-  // so layers may skip their caches and fuse conv+BN+activation.
+  // so layers may skip their caches and the compiled plan may serve it.
   nn::InferenceModeScope inference;
   Tensor p = forward_normalized(batch, /*train=*/false);
   std::vector<float> out(static_cast<std::size_t>(p.dim(0)));

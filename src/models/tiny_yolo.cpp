@@ -73,7 +73,7 @@ std::vector<std::vector<Detection>> TinyYolo::detect(const Tensor& batch,
   const float thr =
       conf_threshold < 0.f ? config_.conf_threshold : conf_threshold;
   // Forward-only: no backward follows a detect() call, so the layers may
-  // skip their caches and take the fused inference path.
+  // skip their caches and the compiled plan may serve it.
   nn::InferenceModeScope inference;
   Tensor raw = forward_raw(batch, /*train=*/false);
   const int n = raw.dim(0), g = config_.grid;

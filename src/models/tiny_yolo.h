@@ -100,7 +100,7 @@ class TinyYolo {
 
   /// Eagerly compiles the execution plan for `batch` images at the active
   /// precision tier (serve calls this at tenant registration / server
-  /// start). Returns nullptr when planning is disabled or compile fails.
+  /// start). Returns nullptr when compile fails.
   nn::ExecPlan* compile_plan(int batch);
 
  private:

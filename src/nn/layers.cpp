@@ -94,38 +94,11 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   // The weight operand's packing is always served through the layer's
   // cache slot: optimizer steps bump the weight generation, so training
   // repacks exactly when the weights actually changed.
-  ConvFusion f;
-  f.weight_cache = &wpack_fwd_;
-  f.precision = resolve_precision(train);
-  f.act_scale = calib_range_ > 0.f ? calib_range_ / 127.f : 0.f;
-  return conv2d_forward(x, w_.value, b_.value, spec_, &f);
-}
-
-Tensor Conv2d::forward_inference(const Tensor& x, BatchNorm2d* bn, Act act,
-                                 float slope) {
-  maybe_record_range(x, &calib_range_);
-  ConvFusion f;
-  f.weight_cache = &wpack_fwd_;
-  f.precision = resolve_precision(/*train=*/false);
-  f.act_scale = calib_range_ > 0.f ? calib_range_ / 127.f : 0.f;
-  std::vector<float> inv_std;
-  if (bn) {
-    // Eval-mode BN is a per-channel affine fold. inv_std is recomputed
-    // with the exact expression BatchNorm2d::forward uses, so the fused
-    // output is bit-identical and always reflects the current buffers.
-    const Tensor& var = bn->running_var();
-    inv_std.resize(static_cast<std::size_t>(spec_.out_channels));
-    for (int cc = 0; cc < spec_.out_channels; ++cc)
-      inv_std[static_cast<std::size_t>(cc)] =
-          1.f / std::sqrt(var[static_cast<std::size_t>(cc)] + bn->eps());
-    f.bn_mean = bn->running_mean().data();
-    f.bn_inv_std = inv_std.data();
-    f.bn_gamma = bn->gamma().data();
-    f.bn_beta = bn->beta().data();
-  }
-  f.act = act;
-  f.act_slope = slope;
-  return conv2d_forward(x, w_.value, b_.value, spec_, &f);
+  GemmExtra extra;
+  extra.a_cache = &wpack_fwd_;
+  extra.precision = resolve_precision(train);
+  extra.act_scale = calib_range_ / 127.f;
+  return conv2d_forward(x, w_.value, b_.value, spec_, extra);
 }
 
 Tensor Conv2d::backward(const Tensor& dy) {
@@ -168,34 +141,12 @@ Tensor Linear::forward(const Tensor& x, bool train) {
   extra.b_cache = &wpack_fwd_;
   extra.precision = resolve_precision(train);
   extra.weights_in_a = false;
-  extra.act_scale = calib_range_ > 0.f ? calib_range_ / 127.f : 0.f;
+  extra.act_scale = calib_range_ / 127.f;
   gemm(x.dim(0), out_, in_, x.data(), in_, /*trans_a=*/false,
        w_.value.data(), in_, /*trans_b=*/true, y.data(), out_,
        /*accumulate=*/false, extra);
   for (int i = 0; i < y.dim(0); ++i)
     for (int j = 0; j < out_; ++j) y.at(i, j) += b_.value[static_cast<std::size_t>(j)];
-  return y;
-}
-
-Tensor Linear::forward_inference(const Tensor& x, Act act, float slope) {
-  ADVP_CHECK_MSG(x.rank() == 2 && x.dim(1) == in_,
-                 "Linear: expected [N," << in_ << "]");
-  maybe_record_range(x, &calib_range_);
-  Tensor y({x.dim(0), out_});
-  GemmEpilogue ep;
-  ep.bias = b_.value.data();
-  ep.bias_per_col = true;  // output columns are features
-  ep.act = act;
-  ep.slope = slope;
-  GemmExtra extra;
-  extra.b_cache = &wpack_fwd_;
-  extra.epilogue = &ep;
-  extra.precision = resolve_precision(/*train=*/false);
-  extra.weights_in_a = false;
-  extra.act_scale = calib_range_ > 0.f ? calib_range_ / 127.f : 0.f;
-  gemm(x.dim(0), out_, in_, x.data(), in_, /*trans_a=*/false,
-       w_.value.data(), in_, /*trans_b=*/true, y.data(), out_,
-       /*accumulate=*/false, extra);
   return y;
 }
 
@@ -464,53 +415,8 @@ Tensor Dropout::backward(const Tensor& dy) {
 // ---- Sequential ---------------------------------------------------------------
 
 Tensor Sequential::forward(const Tensor& x, bool train) {
-  if (!train && InferenceModeScope::active()) return forward_fused(x);
   Tensor h = x;
   for (auto& m : children_) h = m->forward(h, train);
-  return h;
-}
-
-Tensor Sequential::forward_fused(const Tensor& x) {
-  Tensor h = x;
-  const std::size_t n = children_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (auto* conv = dynamic_cast<Conv2d*>(children_[i].get())) {
-      std::size_t next = i + 1;
-      BatchNorm2d* bn = next < n
-                            ? dynamic_cast<BatchNorm2d*>(children_[next].get())
-                            : nullptr;
-      if (bn) ++next;
-      Act act = Act::kNone;
-      float slope = 0.f;
-      if (next < n) {
-        if (auto* relu = dynamic_cast<ReLU*>(children_[next].get())) {
-          act = Act::kReluLeaky;
-          slope = relu->slope();
-          ++next;
-        } else if (dynamic_cast<SiLU*>(children_[next].get())) {
-          act = Act::kSilu;
-          ++next;
-        }
-      }
-      h = conv->forward_inference(h, bn, act, slope);
-      i = next - 1;
-      continue;
-    }
-    if (auto* lin = dynamic_cast<Linear*>(children_[i].get())) {
-      Act act = Act::kNone;
-      float slope = 0.f;
-      if (i + 1 < n) {
-        if (auto* relu = dynamic_cast<ReLU*>(children_[i + 1].get())) {
-          act = Act::kReluLeaky;
-          slope = relu->slope();
-          ++i;
-        }
-      }
-      h = lin->forward_inference(h, act, slope);
-      continue;
-    }
-    h = children_[i]->forward(h, /*train=*/false);
-  }
   return h;
 }
 

@@ -11,8 +11,6 @@
 
 namespace advp::nn {
 
-class BatchNorm2d;
-
 /// 2-D convolution (square kernel). He-initialized.
 class Conv2d : public Module {
  public:
@@ -23,20 +21,13 @@ class Conv2d : public Module {
   Tensor backward(const Tensor& dy) override;
   void collect_params(std::vector<Param*>& out) override;
 
-  /// Inference fast path: conv with the bias (plus an optional eval-BN
-  /// fold and activation) fused into the GEMM epilogue, packed weights
-  /// served from this layer's cache slots, and no backward caching.
-  /// Bit-identical to forward + BatchNorm2d + activation in eval mode.
-  Tensor forward_inference(const Tensor& x, BatchNorm2d* bn, Act act,
-                           float slope);
-
   const Conv2dSpec& spec() const { return spec_; }
   Param& weight() { return w_; }
   Param& bias() { return b_; }
 
   /// Calibrated input-activation range recorded by nn::calibrate (0 until
   /// calibrated). Drives the int8 per-tensor activation scale (range/127);
-  /// 0 falls back to the kernel's dynamic per-call absmax.
+  /// an int8 forward through a layer with range 0 throws CheckError.
   float calibration_range() const { return calib_range_; }
   void set_calibration_range(float r) { calib_range_ = r; }
 
@@ -69,10 +60,6 @@ class Linear : public Module {
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& dy) override;
   void collect_params(std::vector<Param*>& out) override;
-
-  /// Inference fast path: bias (+ optional activation) fused into the
-  /// GEMM epilogue, cached packed weights, no backward caching.
-  Tensor forward_inference(const Tensor& x, Act act, float slope);
 
   Param& weight() { return w_; }
   Param& bias() { return b_; }
@@ -231,12 +218,6 @@ class Sequential : public Module {
   Module& child(std::size_t i) { return *children_[i]; }
 
  private:
-  /// Inference walk: pattern-matches Conv2d [+BatchNorm2d] [+ReLU|SiLU]
-  /// and Linear [+ReLU] runs onto the layers' fused fast paths. Taken by
-  /// forward() when an InferenceModeScope is active and train is false;
-  /// bit-identical to the plain child-by-child walk.
-  Tensor forward_fused(const Tensor& x);
-
   std::vector<ModulePtr> children_;
 };
 

@@ -1,13 +1,8 @@
 #include "nn/plan.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <functional>
-#include <mutex>
 #include <new>
 #include <utility>
 
@@ -26,156 +21,6 @@
 #include "tensor/ops.h"
 
 namespace advp::nn {
-
-namespace plan_detail {
-
-namespace {
-// ADVP_PLAN / ADVP_TUNE kill-switches with the usual test-hook overrides
-// (same pattern as the pack cache's ADVP_PACK_CACHE control).
-std::atomic<int> g_force_plan{-1};
-std::atomic<int> g_force_tune{-1};
-
-bool env_on(const char* name) {
-  const char* e = std::getenv(name);
-  return !(e && e[0] == '0' && e[1] == '\0');
-}
-}  // namespace
-
-void force_plan(int mode) { g_force_plan.store(mode, std::memory_order_relaxed); }
-void force_tune(int mode) { g_force_tune.store(mode, std::memory_order_relaxed); }
-
-bool plan_enabled() {
-  const int f = g_force_plan.load(std::memory_order_relaxed);
-  if (f >= 0) return f != 0;
-  static const bool on = env_on("ADVP_PLAN");
-  return on;
-}
-
-bool tune_enabled() {
-  const int f = g_force_tune.load(std::memory_order_relaxed);
-  if (f >= 0) return f != 0;
-  static const bool on = env_on("ADVP_TUNE");
-  return on;
-}
-
-}  // namespace plan_detail
-
-namespace {
-
-// ---- GEMM blocking autotune -------------------------------------------------
-//
-// Process-wide memo of (shape, tier, operand role) -> fastest blocking.
-// Every candidate is bit-identical by the kernel's k-order contract, so a
-// noisy measurement can only cost speed. Cached across plans: recompiles
-// (generation bumps) and sibling tenants with the same layer shapes pay
-// one benchmark per shape per process.
-
-struct TuneKey {
-  int m, k, n;
-  int tier;
-  bool weights_in_a;
-  bool operator==(const TuneKey& o) const {
-    return m == o.m && k == o.k && n == o.n && tier == o.tier &&
-           weights_in_a == o.weights_in_a;
-  }
-};
-
-struct TuneCache {
-  std::mutex mu;
-  std::vector<std::pair<TuneKey, GemmBlocking>> entries;
-};
-
-TuneCache& tune_cache() {
-  static TuneCache c;
-  return c;
-}
-
-// Products below this skip tuning outright: the candidate spread is noise
-// at small sizes and the compile-time cost would dominate the win.
-constexpr std::size_t kTuneMacFloor = std::size_t{512} * 1024;
-
-double time_once(const std::function<void()>& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  fn();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
-
-GemmBlocking autotune_blocking(int m, int k, int n, GemmPrecision tier,
-                               bool weights_in_a) {
-  if (!plan_detail::tune_enabled()) return {};
-  if (!gemm_blocking_applies(m, n, k, tier)) return {};
-  const std::size_t macs =
-      static_cast<std::size_t>(m) * n * static_cast<std::size_t>(k);
-  if (macs < kTuneMacFloor) return {};
-
-  const TuneKey key{m, k, n, static_cast<int>(tier), weights_in_a};
-  TuneCache& cache = tune_cache();
-  std::lock_guard<std::mutex> lk(cache.mu);
-  for (const auto& e : cache.entries)
-    if (e.first == key) return e.second;
-
-  // Candidate sets. int8 panels span the full (quad-padded) k, so only
-  // the stripe width varies; a cached op(B) image (the Linear role) pins
-  // Kc to the default, so its candidates vary Mc/Nc only.
-  std::vector<GemmBlocking> candidates;
-  if (tier == GemmPrecision::kInt8) {
-    candidates = {{0, 0, 0}, {0, 0, 512}, {0, 0, 256}};
-  } else if (weights_in_a) {
-    candidates = {{0, 0, 0},    {48, 128, 0},  {48, 256, 0},
-                  {192, 256, 0}, {96, 128, 0},  {96, 512, 0},
-                  {96, 256, 512}, {48, 256, 512}};
-  } else {
-    candidates = {{0, 0, 0}, {48, 0, 0}, {192, 0, 0}, {48, 0, 512},
-                  {0, 0, 512}};
-  }
-
-  // Deterministic synthetic operands (plan compilation must not touch RNG
-  // state); a local cache slot mimics the warm weight-pack the real
-  // forward enjoys, so timings reflect steady-state compute.
-  std::vector<float> a(static_cast<std::size_t>(m) * k);
-  std::vector<float> b(static_cast<std::size_t>(k) * n);
-  std::vector<float> c(static_cast<std::size_t>(m) * n);
-  std::uint32_t lcg = 0x9e3779b9u;
-  auto next = [&lcg]() {
-    lcg = lcg * 1664525u + 1013904223u;
-    return static_cast<float>(static_cast<int>(lcg >> 16) - 32768) / 32768.f;
-  };
-  for (auto& v : a) v = next();
-  for (auto& v : b) v = next();
-
-  GemmCacheSlot slot;
-  GemmExtra extra;
-  extra.precision = tier;
-  extra.weights_in_a = weights_in_a;
-  extra.act_scale = 1.f;  // pin the int8 activation scale (timing only)
-  if (weights_in_a)
-    extra.a_cache = &slot;
-  else
-    extra.b_cache = &slot;
-
-  auto run = [&]() {
-    gemm(m, n, k, a.data(), k, /*trans_a=*/false, b.data(), n,
-         /*trans_b=*/false, c.data(), n, /*accumulate=*/false, extra);
-  };
-
-  run();  // warm the pack slot and the scratch arena once
-  GemmBlocking best{};
-  double best_ms = -1.0;
-  for (const GemmBlocking& cand : candidates) {
-    extra.blocking = cand;
-    double ms = time_once(run);
-    ms = std::min(ms, time_once(run));
-    if (best_ms < 0.0 || ms < best_ms) {
-      best_ms = ms;
-      best = cand;
-    }
-  }
-  cache.entries.emplace_back(key, best);
-  return best;
-}
-
-}  // namespace
 
 // ---- ExecPlan ---------------------------------------------------------------
 
@@ -209,7 +54,6 @@ struct PlanOp {
   // pre-sized buffer (same expression as BatchNorm2d::forward, so the
   // fold always reflects the current running stats, bit-for-bit).
   std::vector<float> bn_inv_std;
-  GemmBlocking blocking;
 };
 
 }  // namespace
@@ -264,7 +108,7 @@ struct ExecPlan::Impl {
   std::shared_ptr<PlanSlots> slots;
   std::size_t slot_elems[2] = {0, 0};
   Tensor out;
-  std::vector<PlannedGemm> gemms;
+  std::string geometry;  // see geometry_string()
 
   float* buffer(int idx) {
     return idx == 2 ? out.data() : slots->buf[idx];
@@ -294,20 +138,8 @@ std::size_t ExecPlan::arena_bytes() const {
 const std::shared_ptr<PlanSlots>& ExecPlan::slots() const {
   return impl_->slots;
 }
-const std::vector<PlannedGemm>& ExecPlan::gemms() const {
-  return impl_->gemms;
-}
-
-std::string ExecPlan::geometry_string() const {
-  std::string s;
-  char buf[96];
-  for (const PlannedGemm& g : impl_->gemms) {
-    std::snprintf(buf, sizeof(buf), "%dx%dx%d:mc%d/kc%d/nc%d", g.m, g.k, g.n,
-                  g.blocking.mc, g.blocking.kc, g.blocking.nc);
-    if (!s.empty()) s += ';';
-    s += buf;
-  }
-  return s;
+const std::string& ExecPlan::geometry_string() const {
+  return impl_->geometry;
 }
 
 bool ExecPlan::valid_for(const std::vector<int>& in_shape,
@@ -325,7 +157,7 @@ bool ExecPlan::compile(const std::vector<Module*>& layers,
   im.compiled = false;
   im.label = label;
   im.ops.clear();
-  im.gemms.clear();
+  im.geometry.clear();
   im.slot_elems[0] = im.slot_elems[1] = 0;
   im.prec = tier;
   im.in_shape = in_shape;
@@ -333,20 +165,22 @@ bool ExecPlan::compile(const std::vector<Module*>& layers,
 
   if (in_shape.empty() || in_shape[0] <= 0) return false;
   std::vector<int> shape = in_shape;
+  auto add_gemm = [&im](int m, int k, int n) {
+    if (!im.geometry.empty()) im.geometry += ';';
+    im.geometry += std::to_string(m) + 'x' + std::to_string(k) + 'x' +
+                   std::to_string(n);
+  };
 
-  // Pass 1+2: shape inference and fusion in one walk. The grouping below
-  // mirrors Sequential::forward_fused exactly — Conv2d [+BatchNorm2d]
-  // [+ReLU|SiLU], Linear [+ReLU] — resolved here once instead of with
-  // dynamic_cast chains on every forward.
+  // Pass 1+2: shape inference and fusion in one walk: Conv2d
+  // [+BatchNorm2d] [+ReLU|SiLU] and Linear [+ReLU] runs become one op.
   const std::size_t count = layers.size();
   for (std::size_t i = 0; i < count; ++i) {
     Module* mod = layers[i];
     if (auto* conv = dynamic_cast<Conv2d*>(mod)) {
       if (shape.size() != 4 || shape[1] != conv->spec().in_channels)
         return false;
-      // Per-item conv GEMMs need a fixed activation scale to match the
-      // grouped eager GEMM at int8: an uncalibrated layer would quantize
-      // with a per-item dynamic absmax and drift from the oracle.
+      // int8 needs the calibrated activation scale; without one the
+      // forward takes the eager walk, which throws.
       if (tier == GemmPrecision::kInt8 && conv->calibration_range() <= 0.f)
         return false;
       PlanOp op;
@@ -382,9 +216,7 @@ bool ExecPlan::compile(const std::vector<Module*>& layers,
       }
       const int patch = op.c * s.kernel * s.kernel;
       const int pixels = op.oh * op.ow;
-      op.blocking = autotune_blocking(op.oc, patch, pixels, tier,
-                                      /*weights_in_a=*/true);
-      im.gemms.push_back({op.oc, patch, pixels, op.blocking});
+      add_gemm(op.oc, patch, pixels);
       shape = {op.n, op.oc, op.oh, op.ow};
       op.out_elems = static_cast<std::size_t>(op.n) * op.oc * pixels;
       im.ops.push_back(std::move(op));
@@ -410,9 +242,7 @@ bool ExecPlan::compile(const std::vector<Module*>& layers,
           ++i;
         }
       }
-      op.blocking = autotune_blocking(op.n, in_f, out_f, tier,
-                                      /*weights_in_a=*/false);
-      im.gemms.push_back({op.n, in_f, out_f, op.blocking});
+      add_gemm(op.n, in_f, out_f);
       shape = {op.n, out_f};
       op.out_elems = static_cast<std::size_t>(op.n) * out_f;
       im.ops.push_back(std::move(op));
@@ -510,7 +340,7 @@ bool ExecPlan::compile(const std::vector<Module*>& layers,
       im.ops.push_back(std::move(op));
       continue;
     }
-    return false;  // unsupported layer: caller falls back to forward_fused
+    return false;  // unsupported layer: caller takes the eager walk
   }
   if (im.ops.empty()) return false;
 
@@ -574,20 +404,13 @@ bool ExecPlan::compile(const std::vector<Module*>& layers,
 void ExecPlan::Impl::run_conv(const PlanOp& op, const float* src,
                               float* dst) {
   Conv2d* conv = op.conv;
-  const Conv2dSpec& s = conv->spec();
-  const int patch = op.c * s.kernel * s.kernel;
-  const int pixels = op.oh * op.ow;
-  const std::size_t x_stride = static_cast<std::size_t>(op.c) * op.h * op.w;
-  const std::size_t y_stride = static_cast<std::size_t>(op.oc) * pixels;
-  ADVP_OBS_COUNT(kConv2dFlops, 2ull * op.n * y_stride * patch);
-
   GemmEpilogue epi;
   epi.bias = conv->bias().value.data();
   if (op.bn) {
     // inv_std refreshed with the exact expression BatchNorm2d::forward
-    // (and Conv2d::forward_inference) uses — train-mode BN updates the
-    // running stats without a generation bump, so the fold must read
-    // them per execute, not bake them in at compile.
+    // uses — train-mode BN updates the running stats without a generation
+    // bump, so the fold must read them per execute, not bake them in at
+    // compile.
     const Tensor& var = op.bn->running_var();
     float* is = const_cast<float*>(op.bn_inv_std.data());
     for (int cc = 0; cc < op.oc; ++cc)
@@ -605,64 +428,11 @@ void ExecPlan::Impl::run_conv(const PlanOp& op, const float* src,
   extra.a_cache = &conv->forward_pack_slot();
   extra.epilogue = &epi;
   extra.precision = prec;
-  const float range = conv->calibration_range();
-  extra.act_scale = range > 0.f ? range / 127.f : 0.f;
-  extra.blocking = op.blocking;
-
-  // One GEMM per batch item, written straight into the scheduled output
-  // (epilogue applied) — no staging buffer, no scatter copy. Item columns
-  // are disjoint and every element keeps its ascending-k FMA chain, so
-  // this is bit-identical to the eager path's wide grouped GEMM. On the
-  // implicit-im2col path the GEMM packer gathers patch elements straight
-  // from the scheduled input buffer, so the per-item column matrix (the
-  // plan's largest scratch ask) is never materialized; ADVP_IM2COL=staged
-  // restores the lowering below as kill-switch and bit-identity oracle.
-  // (Plan-compiled int8 convs always carry a calibrated act_scale, so the
-  // eager path's dynamic-absmax grouping caveat cannot arise here.)
-  const bool implicit = implicit_im2col_enabled();
-  PackSource ps;
-  ps.item_stride = x_stride;
-  ps.items = 1;
-  ps.c_in = op.c;
-  ps.h = op.h;
-  ps.w = op.w;
-  ps.kernel = s.kernel;
-  ps.stride = s.stride;
-  ps.pad = s.pad;
-  ps.out_h = op.oh;
-  ps.out_w = op.ow;
-  auto run_item = [&](std::size_t i) {
-    if (implicit) {
-      PackSource item_ps = ps;
-      item_ps.base = src + i * x_stride;
-      GemmExtra item_extra = extra;
-      item_extra.b_pack = &item_ps;
-      gemm(op.oc, pixels, patch, conv->weight().value.data(), patch,
-           /*trans_a=*/false, /*b=*/nullptr, pixels, /*trans_b=*/false,
-           dst + i * y_stride, pixels, /*accumulate=*/false, item_extra);
-      return;
-    }
-    ScratchArena& arena = ScratchArena::local();
-    ScratchArena::Frame frame(arena);
-    float* cols =
-        arena.alloc_floats(static_cast<std::size_t>(patch) * pixels);
-    im2col_lower(src + i * x_stride, op.c, op.h, op.w, s, cols, pixels);
-    gemm(op.oc, pixels, patch, conv->weight().value.data(), patch,
-         /*trans_a=*/false, cols, pixels, /*trans_b=*/false,
-         dst + i * y_stride, pixels, /*accumulate=*/false, extra);
-  };
-  // Item 0 runs first on the calling thread so a cold pack slot is filled
-  // exactly once before any fan-out (slots are not safe to fill
-  // concurrently); the remaining items then share the pool, each GEMM
-  // serial inside the region.
-  run_item(0);
-  if (op.n > 1) {
-    if (max_workers() > 1 && !in_parallel_region())
-      parallel_for(1, static_cast<std::size_t>(op.n), run_item);
-    else
-      for (std::size_t i = 1; i < static_cast<std::size_t>(op.n); ++i)
-        run_item(i);
-  }
+  extra.act_scale = conv->calibration_range() / 127.f;
+  // The eager conv's per-item loop, writing straight into the scheduled
+  // output (epilogue applied): no staging buffer, no scatter copy.
+  conv2d_forward_into(src, op.n, op.c, op.h, op.w,
+                      conv->weight().value.data(), conv->spec(), dst, extra);
 }
 
 void ExecPlan::Impl::run_linear(const PlanOp& op, const float* src,
@@ -678,9 +448,7 @@ void ExecPlan::Impl::run_linear(const PlanOp& op, const float* src,
   extra.epilogue = &epi;
   extra.precision = prec;
   extra.weights_in_a = false;
-  const float range = lin->calibration_range();
-  extra.act_scale = range > 0.f ? range / 127.f : 0.f;
-  extra.blocking = op.blocking;
+  extra.act_scale = lin->calibration_range() / 127.f;
   gemm(op.n, op.oc, op.c, src, op.c, /*trans_a=*/false,
        lin->weight().value.data(), op.c, /*trans_b=*/true, dst, op.oc,
        /*accumulate=*/false, extra);
@@ -791,7 +559,6 @@ constexpr std::size_t kMaxPlans = 16;
 
 ExecPlan* PlanCache::plan_for(const std::vector<Module*>& layers,
                               const Tensor& x) {
-  if (!plan_detail::plan_enabled()) return nullptr;
   if (!InferenceModeScope::active() || CalibrationScope::active())
     return nullptr;
   return lookup(layers, x.shape(), PrecisionScope::active(),
@@ -801,7 +568,6 @@ ExecPlan* PlanCache::plan_for(const std::vector<Module*>& layers,
 ExecPlan* PlanCache::compile_now(const std::vector<Module*>& layers,
                                  const std::vector<int>& in_shape,
                                  GemmPrecision tier) {
-  if (!plan_detail::plan_enabled()) return nullptr;
   return lookup(layers, in_shape, tier, /*count_hit=*/false);
 }
 

@@ -1,17 +1,15 @@
 // Execution-plan compiler: compile a layer list once, execute many times.
 //
-// `Sequential::forward_fused` re-discovers the Conv[+BN][+act] fusion
-// structure with dynamic_cast chains on every call, allocates (and
-// zero-fills) a fresh intermediate Tensor per layer, and runs every GEMM
-// with the build's one global blocking geometry. ExecPlan moves all of
-// that to compile time. Compiling a model for one (input shape, precision
-// tier) runs four passes:
+// The eager walk (Sequential::forward, child by child) allocates a fresh
+// Tensor per layer and runs BatchNorm and the activation as passes of
+// their own. ExecPlan moves that to compile time. Compiling a model for
+// one (input shape, precision tier) runs three passes:
 //
 //  1. Shape inference over the layer list — every intermediate's geometry
 //     is known before the first real forward.
-//  2. Fusion — the Conv2d[+BatchNorm2d][+ReLU|SiLU] and Linear[+ReLU]
-//     grouping forward_fused pattern-matches per call is resolved once
-//     into a flat op list; eval-BN folds into the conv GEMM epilogue.
+//  2. Fusion — Conv2d[+BatchNorm2d][+ReLU|SiLU] and Linear[+ReLU] runs are
+//     grouped once into a flat op list; eval-BN and the activation fold
+//     into the GEMM epilogue.
 //  3. Buffer schedule — the op chain is single-input/single-output, so
 //     liveness analysis degenerates to two ping-pong arena slots (plus
 //     the plan-owned output tensor), pre-allocated at compile time.
@@ -22,30 +20,24 @@
 //     Reshapes (Flatten) and eval-mode Dropout are aliases: zero copies,
 //     zero ops. Steady-state execution performs zero heap allocations —
 //     asserted through the plan_steady_allocs obs counter, not by eye.
-//  4. GEMM blocking autotune — each planned GEMM shape times a small
-//     candidate set of Mc/Kc/Nc overrides and keeps the fastest
-//     (process-wide cache keyed by shape+tier, so recompiles and sibling
-//     tenants pay nothing). The kernel's k-order contract makes every
-//     candidate bit-identical, so timing noise can only cost speed,
-//     never correctness. ADVP_TUNE=0 pins the build defaults.
 //
-// Execution is bit-identical to forward_fused (which stays as the
-// fallback for unsupported layers and as the bit-identity oracle in
-// tests), which is itself bit-identical to the eager child-by-child walk.
-// Per-item conv GEMMs write straight into the scheduled output buffer
-// (fused epilogue applied), skipping forward_fused's wide-GEMM scatter
-// copy; items fan out across the worker pool with each item's GEMM
-// running serially inside the region, so any worker count produces the
-// same bits.
+// Execution is bit-identical to the eager walk under an
+// InferenceModeScope at every tier, which is the plan's oracle in tests:
+// the epilogue runs the unfused layers' float operations in their order.
+// Conv ops run the eager conv's per-item loop (conv2d_forward_into),
+// writing straight into the scheduled output buffer; items fan out
+// across the worker pool with each item's GEMM serial inside the region,
+// so any worker count produces the same bits.
 //
 // Invalidation mirrors GemmCacheSlot: a plan records the weight
-// generation at compile time and PlanCache recompiles (cheaply — the
-// autotune cache is warm) after any optimizer step, parameter load, or
-// `.advp` adoption. Precision changes select a different cache entry
-// outright, since the tier is part of the plan key.
+// generation at compile time and PlanCache recompiles after any optimizer
+// step, parameter load, `.advp` adoption or recalibration. Precision
+// changes select a different cache entry outright, since the tier is part
+// of the plan key.
 //
-// ADVP_PLAN=0 is the kill-switch: PlanCache hands out no plans and every
-// forward takes the uncompiled path.
+// Layers the compiler does not know, and int8 through a layer without a
+// calibrated range, are not compiled: the forward takes the eager walk,
+// which throws for the uncalibrated int8 case.
 #pragma once
 
 #include <memory>
@@ -55,27 +47,6 @@
 #include "nn/layers.h"
 
 namespace advp::nn {
-
-namespace plan_detail {
-/// @brief Test/bench hook overriding the ADVP_PLAN environment default:
-/// 0 forces plans off, 1 forces them on, -1 restores the env.
-void force_plan(int mode);
-/// @brief Test/bench hook overriding the ADVP_TUNE environment default:
-/// 0 pins the build's default blocking, 1 forces autotuning, -1 restores
-/// the env.
-void force_tune(int mode);
-/// @brief True when PlanCache may hand out compiled plans.
-bool plan_enabled();
-/// @brief True when plan compilation autotunes GEMM blocking.
-bool tune_enabled();
-}  // namespace plan_detail
-
-/// One GEMM the plan will execute, with the blocking the autotuner picked
-/// (all-zero = build defaults). Reported in manifests and bench output.
-struct PlannedGemm {
-  int m = 0, k = 0, n = 0;
-  GemmBlocking blocking;
-};
 
 /// The two ping-pong buffers a compiled plan runs its intermediates
 /// through. They hold nothing between executes, so plans that never run
@@ -100,11 +71,12 @@ class ExecPlan {
 
   /// @brief Compiles `layers` (run in order, as a Sequential would) for
   /// inputs of `in_shape` at tier `tier`. Runs shape inference, fusion,
-  /// the buffer schedule, the blocking autotune, and one warm-up execute
-  /// (so steady-state calls hit warm pack slots and a warm arena).
+  /// the buffer schedule, and one warm-up execute (so steady-state calls
+  /// hit warm pack slots and a warm arena).
   /// @param label Model name recorded in obs plan records.
   /// @return false — leaving the plan invalid — when a layer kind or
-  ///   shape is unsupported; callers fall back to the uncompiled walk.
+  ///   shape is unsupported, or an int8 GEMM layer has no calibrated
+  ///   range; callers fall back to the eager walk.
   bool compile(const std::vector<Module*>& layers,
                const std::vector<int>& in_shape, GemmPrecision tier,
                const std::string& label = "model");
@@ -129,10 +101,8 @@ class ExecPlan {
   std::size_t arena_bytes() const;
   /// The slots this plan runs on, for a later plan to share.
   const std::shared_ptr<PlanSlots>& slots() const;
-  /// Planned GEMM shapes with their autotuned blocking.
-  const std::vector<PlannedGemm>& gemms() const;
-  /// "mxkxn:mc/kc/nc;..." summary of gemms() (manifest/bench string).
-  std::string geometry_string() const;
+  /// "mxkxn;..." shapes of the planned GEMMs (manifest/bench string).
+  const std::string& geometry_string() const;
 
  private:
   struct Impl;
@@ -151,16 +121,16 @@ class PlanCache {
   explicit PlanCache(std::string label = "model") : label_(std::move(label)) {}
 
   /// @brief An executable plan for (layers, x.shape(), the active tier),
-  /// or nullptr when planning is disabled (ADVP_PLAN=0 / force_plan(0)),
-  /// the calling context is not a backward-free inference forward (no
-  /// InferenceModeScope, or a CalibrationScope is active), or the model
-  /// failed to compile. Compiles or recompiles as needed.
+  /// or nullptr when the calling context is not a backward-free
+  /// inference forward (no InferenceModeScope, or a CalibrationScope is
+  /// active: calibration records its ranges on the eager walk), or the
+  /// model failed to compile. Compiles or recompiles as needed.
   ExecPlan* plan_for(const std::vector<Module*>& layers, const Tensor& x);
 
   /// @brief Eagerly compiles (or revalidates) the plan for `in_shape` at
   /// `tier` — the serve layer calls this at tenant registration and
   /// server start so the first request finds a warm plan. Returns nullptr
-  /// when planning is disabled or compilation fails.
+  /// when compilation fails.
   ExecPlan* compile_now(const std::vector<Module*>& layers,
                         const std::vector<int>& in_shape,
                         GemmPrecision tier);

@@ -65,38 +65,7 @@ bool pack_cache_env_default() {
   return on;
 }
 
-// Implicit-im2col control: ADVP_IM2COL=staged (or =0) is the kill-switch
-// that restores the materialized-cols conv path, plus the test-hook
-// override used by the bit-identity suites.
-std::atomic<int> g_force_im2col{-1};
-
-bool im2col_env_default() {
-  static const bool implicit_on = [] {
-    const char* e = std::getenv("ADVP_IM2COL");
-    if (!e) return true;
-    return !(std::strcmp(e, "staged") == 0 ||
-             (e[0] == '0' && e[1] == '\0'));
-  }();
-  return implicit_on;
-}
-
 inline int round_up(int v, int to) { return (v + to - 1) / to * to; }
-
-// Effective cache-blocking for one call. Requested values are sanitized
-// (Mc to an MR multiple, Nc to an NR multiple); Kc is pinned to the build
-// default whenever a cached/adopted op(B) image serves the call, because
-// the canonical cached layout places the block at row pc at offset
-// npad*pc with kKc-deep blocks.
-struct Blocking {
-  int mc, kc, nc;
-};
-inline Blocking resolve_blocking(const GemmBlocking& req, bool b_is_cached) {
-  Blocking eff{kMc, kKc, kNc};
-  if (req.mc > 0) eff.mc = round_up(req.mc, kMr);
-  if (req.kc > 0 && !b_is_cached) eff.kc = req.kc;
-  if (req.nc > 0) eff.nc = round_up(req.nc, kNr);
-  return eff;
-}
 
 // op(A)(i, kk) / op(B)(kk, j) under the trans flags.
 inline float a_at(const float* a, int lda, bool trans_a, int i, int kk) {
@@ -186,17 +155,17 @@ void pack_b(const float* b, int ldb, bool trans_b, int pc, int kc, int j0,
 
 // ---- implicit im2col (fused conv lowering) ---------------------------------
 //
-// The staged conv path materializes the column matrix with im2col_lower
-// and then pack_b re-reads it while staging panels — every activation
-// element crosses memory twice. The implicit path gathers op(B) elements
+// Staging the column matrix with im2col_lower and then packing it with
+// pack_b moves every activation element through memory twice. The
+// implicit path, the one conv forward, gathers op(B) elements
 // straight out of NCHW image storage inside the packer: row p of op(B)
 // decomposes to a patch tap (c, ky, kx), column j to an output pixel
 // (item, oy, ox), and the value is x[item][c][oy*stride+ky-pad]
 // [ox*stride+kx-pad] with zeros outside the image — exactly the element
 // im2col_lower would have staged at (p, j). Because the packer emits the
 // same element multiset in the same panel order, and nothing downstream
-// of packing changes, the result is bit-identical to the staged path on
-// every tier.
+// of packing changes, the result is bit-identical to gemm() on the staged
+// column matrix on every tier.
 
 // Patch-row decomposition of op(B) row p under a conv geometry.
 struct PatchTap {
@@ -876,15 +845,14 @@ void gemm_bf16(int m, int n, int k, const float* a, int lda, bool trans_a,
 
   const std::size_t macs =
       static_cast<std::size_t>(m) * n * static_cast<std::size_t>(k);
-  const Blocking blk = resolve_blocking(extra.blocking, b_cached != nullptr);
   const bool fan_out =
       macs >= kParallelMacLimit && max_workers() > 1 && !in_parallel_region();
-  int stripe_w = blk.nc;
+  int stripe_w = kNc;
   if (fan_out) {
     const int per_worker =
         (n + static_cast<int>(max_workers()) - 1) /
         static_cast<int>(max_workers());
-    stripe_w = std::clamp(round_up(per_worker, kNr), kNr, blk.nc);
+    stripe_w = std::clamp(round_up(per_worker, kNr), kNr, kNc);
   }
   const std::size_t stripes =
       (static_cast<std::size_t>(n) + stripe_w - 1) / stripe_w;
@@ -898,10 +866,10 @@ void gemm_bf16(int m, int n, int k, const float* a, int lda, bool trans_a,
     bf16_t* bp_scratch =
         b_cached ? nullptr
                  : static_cast<bf16_t*>(arena.alloc_bytes(
-                       static_cast<std::size_t>(std::min(blk.kc, k)) * nw_pad *
+                       static_cast<std::size_t>(std::min(kKc, k)) * nw_pad *
                        sizeof(bf16_t)));
-    for (int pc = 0; pc < k; pc += blk.kc) {
-      const int kc = std::min(blk.kc, k - pc);
+    for (int pc = 0; pc < k; pc += kKc) {
+      const int kc = std::min(kKc, k - pc);
       const bf16_t* bp;
       if (b_cached) {
         bp = b_cached + static_cast<std::size_t>(npad) * pc +
@@ -915,8 +883,8 @@ void gemm_bf16(int m, int n, int k, const float* a, int lda, bool trans_a,
       }
       const bool zero_first = pc == 0;
       const bool last_panel = pc + kc == k;
-      for (int ic = 0; ic < m; ic += blk.mc) {
-        const int mc = std::min(blk.mc, m - ic);
+      for (int ic = 0; ic < m; ic += kMc) {
+        const int mc = std::min(kMc, m - ic);
         for (int jp = 0; jp < nw; jp += kNr) {
           const bf16_t* bpanel =
               bp + static_cast<std::size_t>(jp / kNr) * kc * kNr;
@@ -948,8 +916,8 @@ void gemm_bf16(int m, int n, int k, const float* a, int lda, bool trans_a,
 //
 // Weights are quantized symmetrically per output channel at pack time (the
 // scales live next to the packed panels in the cache slot); the activation
-// operand is quantized per tensor with a calibrated scale, or a dynamic
-// absmax computed serially before any fan-out. Panels interleave k in
+// operand is quantized per tensor with the calibrated scale the caller
+// passes (GemmExtra::act_scale). Panels interleave k in
 // quads of bytes, with the activation operand's bytes biased by +128 into
 // the unsigned range at pack time: the AVX-512 kernel then runs the VNNI
 // byte dot product (vpdpbusd — four u8*s8 MACs per lane per instruction,
@@ -995,26 +963,6 @@ void quantize_run(const float* src, std::size_t count, float inv,
   }
 #endif
   for (; i < count; ++i) dst[i] = quantize8(src[i], inv);
-}
-
-float absmax_a(const float* a, int lda, bool trans_a, int m, int k) {
-  float amax = 0.f;
-  for (int i = 0; i < m; ++i)
-    for (int kk = 0; kk < k; ++kk) {
-      const float v = std::fabs(a_at(a, lda, trans_a, i, kk));
-      if (v > amax) amax = v;
-    }
-  return amax;
-}
-
-float absmax_b(const float* b, int ldb, bool trans_b, int k, int n) {
-  float amax = 0.f;
-  for (int kk = 0; kk < k; ++kk)
-    for (int j = 0; j < n; ++j) {
-      const float v = std::fabs(b_at(b, ldb, trans_b, kk, j));
-      if (v > amax) amax = v;
-    }
-  return amax;
 }
 
 // Per-row (op(A)) / per-column (op(B)) symmetric scales: absmax / 127.
@@ -1309,30 +1257,6 @@ void pack_b_int8_implicit(const PackSource& ps, int k, int j0, int nw,
                  static_cast<std::uint64_t>(kpad) * round_up(nw, kNr));
 }
 
-// Dynamic activation absmax over the implicit op(B): the max runs over
-// the exact element multiset im2col_lower would have staged, and max is
-// order-independent, so the dynamic scale — and therefore every output
-// bit — matches the staged path.
-float absmax_implicit(const PackSource& ps, int k) {
-  const int n = ps.items * ps.out_h * ps.out_w;
-  float amax = 0.f;
-  float tmp[256];
-  PatchTap t = patch_tap(ps, 0);
-  for (int p = 0; p < k; ++p, next_tap(ps, t)) {
-    ColCursor cur{0, 0, 0};
-    for (int j = 0; j < n; j += 256) {
-      const int run = std::min(256, n - j);
-      gather_row(ps, t, cur, run, tmp);
-      for (int i = 0; i < run; ++i) {
-        const float v = std::fabs(tmp[i]);
-        if (v > amax) amax = v;
-      }
-      advance(ps, cur, run);
-    }
-  }
-  return amax;
-}
-
 // int8 micro-kernels: full-k accumulation of a kMr x kNr tile of the
 // *biased* integer sum (the activation operand's bytes carry +128) into an
 // int32 scratch tile; the caller subtracts the per-channel compensation
@@ -1438,19 +1362,11 @@ void gemm_int8(int m, int n, int k, const float* a, int lda, bool trans_a,
   ScratchArena& main_arena = ScratchArena::local();
   ScratchArena::Frame top(main_arena);
 
-  // Activation per-tensor scale: calibrated, or dynamic absmax over the
-  // whole logical operand — computed serially before any fan-out so the
-  // scale (and thus every output bit) is independent of worker count and
-  // stripe geometry.
-  float act_scale = extra.act_scale;
-  if (act_scale <= 0.f) {
-    const float amax = wa ? (extra.b_pack
-                                 ? absmax_implicit(*extra.b_pack, k)
-                                 : absmax_b(b, ldb, trans_b, k, n))
-                          : absmax_a(a, lda, trans_a, m, k);
-    act_scale = amax / 127.f;
-  }
-  const float act_inv = act_scale > 0.f ? 1.f / act_scale : 0.f;
+  // Activation per-tensor scale: calibrated, fixed for the whole call (and
+  // checked > 0 in gemm()), so every output bit is independent of worker
+  // count and stripe geometry.
+  const float act_scale = extra.act_scale;
+  const float act_inv = 1.f / act_scale;
 
   // Only the weight operand uses its cache slot (activations change every
   // call); the slot stores the quantized panels plus the per-channel
@@ -1579,17 +1495,14 @@ void gemm_int8(int m, int n, int k, const float* a, int lda, bool trans_a,
 
   const std::size_t macs =
       static_cast<std::size_t>(m) * n * static_cast<std::size_t>(k);
-  // int8 panels interleave the full (quad-padded) k range, so only the
-  // stripe width is tunable; Mc/Kc requests are ignored.
-  const Blocking blk = resolve_blocking(extra.blocking, /*b_is_cached=*/true);
   const bool fan_out =
       macs >= kParallelMacLimit && max_workers() > 1 && !in_parallel_region();
-  int stripe_w = blk.nc;
+  int stripe_w = kNc;
   if (fan_out) {
     const int per_worker =
         (n + static_cast<int>(max_workers()) - 1) /
         static_cast<int>(max_workers());
-    stripe_w = std::clamp(round_up(per_worker, kNr), kNr, blk.nc);
+    stripe_w = std::clamp(round_up(per_worker, kNr), kNr, kNc);
   }
   const std::size_t stripes =
       (static_cast<std::size_t>(n) + stripe_w - 1) / stripe_w;
@@ -1689,6 +1602,10 @@ void gemm(int m, int n, int k, const float* a, int lda, bool trans_a,
           const float* b, int ldb, bool trans_b, float* c, int ldc,
           bool accumulate, const GemmExtra& extra) {
   ADVP_CHECK_MSG(m >= 0 && n >= 0 && k >= 0, "gemm: negative dimension");
+  ADVP_CHECK_MSG(extra.precision != GemmPrecision::kInt8 ||
+                     extra.act_scale > 0.f,
+                 "gemm: int8 needs a calibrated activation scale "
+                 "(act_scale > 0); run nn::calibrate() on the model first");
   const GemmEpilogue* ep = extra.epilogue;
   ADVP_CHECK_MSG(!(ep && accumulate),
                  "gemm: epilogue requires accumulate=false");
@@ -1789,15 +1706,14 @@ void gemm(int m, int n, int k, const float* a, int lda, bool trans_a,
   // own B panels into its thread-local arena. Stripe geometry is a pure
   // scheduling choice — every output element's k-accumulation is the same
   // regardless of where the stripe boundaries fall.
-  const Blocking blk = resolve_blocking(extra.blocking, b_cached != nullptr);
   const bool fan_out =
       macs >= kParallelMacLimit && max_workers() > 1 && !in_parallel_region();
-  int stripe_w = blk.nc;
+  int stripe_w = kNc;
   if (fan_out) {
     const int per_worker =
         (n + static_cast<int>(max_workers()) - 1) /
         static_cast<int>(max_workers());
-    stripe_w = std::clamp(round_up(per_worker, kNr), kNr, blk.nc);
+    stripe_w = std::clamp(round_up(per_worker, kNr), kNr, kNc);
   }
   const std::size_t stripes =
       (static_cast<std::size_t>(n) + stripe_w - 1) / stripe_w;
@@ -1811,9 +1727,9 @@ void gemm(int m, int n, int k, const float* a, int lda, bool trans_a,
     float* bp_scratch =
         b_cached ? nullptr
                  : arena.alloc_floats(
-                       static_cast<std::size_t>(std::min(blk.kc, k)) * nw_pad);
-    for (int pc = 0; pc < k; pc += blk.kc) {
-      const int kc = std::min(blk.kc, k - pc);
+                       static_cast<std::size_t>(std::min(kKc, k)) * nw_pad);
+    for (int pc = 0; pc < k; pc += kKc) {
+      const int kc = std::min(kKc, k - pc);
       const float* bp;
       if (b_cached) {
         bp = b_cached + static_cast<std::size_t>(npad) * pc +
@@ -1831,8 +1747,8 @@ void gemm(int m, int n, int k, const float* a, int lda, bool trans_a,
       // tile only after its last panel completes the sum.
       const bool zero_first = pc == 0 && !accumulate;
       const bool last_panel = pc + kc == k;
-      for (int ic = 0; ic < m; ic += blk.mc) {
-        const int mc = std::min(blk.mc, m - ic);
+      for (int ic = 0; ic < m; ic += kMc) {
+        const int mc = std::min(kMc, m - ic);
         for (int jp = 0; jp < nw; jp += kNr) {
           const float* bpanel =
               bp + static_cast<std::size_t>(jp / kNr) * kc * kNr;
@@ -1858,14 +1774,6 @@ void gemm(int m, int n, int k, const float* a, int lda, bool trans_a,
     parallel_for(0, stripes, 1, run_stripe);
   else
     for (std::size_t s = 0; s < stripes; ++s) run_stripe(s);
-}
-
-bool gemm_blocking_applies(int m, int n, int k, GemmPrecision p) {
-  if (m <= 0 || n <= 0 || k <= 0) return false;
-  if (p != GemmPrecision::kFp32) return true;
-  const std::size_t macs =
-      static_cast<std::size_t>(m) * n * static_cast<std::size_t>(k);
-  return !(macs <= kNaiveMacLimit || n < 8);
 }
 
 void transpose_blocked(const float* src, int m, int n, float* dst) {
@@ -1894,11 +1802,6 @@ void bump_weight_generation() {
 bool pack_cache_enabled() {
   const int f = g_force_pack_cache.load(std::memory_order_relaxed);
   return f < 0 ? pack_cache_env_default() : f != 0;
-}
-
-bool implicit_im2col_enabled() {
-  const int f = g_force_im2col.load(std::memory_order_relaxed);
-  return f < 0 ? im2col_env_default() : f != 0;
 }
 
 int gemm_panel_mr() { return kMr; }
@@ -2064,10 +1967,6 @@ bool forcing_portable() {
 void force_pack_cache(int mode) {
   g_force_pack_cache.store(mode < 0 ? -1 : (mode != 0 ? 1 : 0),
                            std::memory_order_relaxed);
-}
-void force_im2col(int mode) {
-  g_force_im2col.store(mode < 0 ? -1 : (mode != 0 ? 1 : 0),
-                       std::memory_order_relaxed);
 }
 }  // namespace gemm_detail
 

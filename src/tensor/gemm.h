@@ -47,8 +47,8 @@
 //    storage rounding.
 //  - kInt8: the weight operand (the one whose GemmCacheSlot the caller
 //    provides; see GemmExtra::weights_in_a) is quantized symmetrically per
-//    output channel at pack time, the activation operand per tensor (scale
-//    from a calibration pass, or dynamic absmax when act_scale <= 0).
+//    output channel at pack time, the activation operand per tensor with
+//    the scale a calibration pass recorded (act_scale > 0, required).
 //    Accumulation is exact int32 over the full k range; dequantization
 //    (acc * w_scale[channel] * act_scale) happens at C write-back, followed
 //    by the ordinary fused epilogue. Integer accumulation is associative,
@@ -164,8 +164,8 @@ struct GemmCacheSlot {
 /// [oy*stride + ky - pad][ox*stride + kx - pad] (zero outside the image).
 /// Because the packer gathers the same element multiset in the same panel
 /// order, and the k-accumulation order is untouched, results are
-/// bit-identical to the staged path on every tier — the staged lowering
-/// stays available as the oracle under ADVP_IM2COL=staged.
+/// bit-identical on every tier to a gemm() fed the column matrix that
+/// im2col_lower stages, which is how the tests check it.
 struct PackSource {
   const float* base = nullptr;  ///< item 0's [c_in, h, w] plane
   std::size_t item_stride = 0;  ///< floats between consecutive items' planes
@@ -176,20 +176,6 @@ struct PackSource {
   int stride = 1;
   int pad = 0;
   int out_h = 0, out_w = 0;  ///< conv output dims (out_h*out_w cols per item)
-};
-
-/// Per-call override of the cache-blocking geometry (Mc rows of A per
-/// inner block, Kc accumulation depth per panel, Nc stripe width). Zero
-/// fields keep the build defaults. Blocking is a pure scheduling choice:
-/// the k-order contract makes results bit-identical for any geometry, so
-/// an autotuner may pick whatever times fastest. Requested values are
-/// sanitized inside gemm() — Mc is rounded up to MR, Nc to NR, and Kc is
-/// ignored whenever a cached op(B) image serves the call (the canonical
-/// cached layout is keyed to the default Kc).
-struct GemmBlocking {
-  int mc = 0;
-  int kc = 0;
-  int nc = 0;
 };
 
 /// Optional extensions to a gemm() call.
@@ -203,14 +189,11 @@ struct GemmExtra {
   /// quantization runs over op(A) rows when true, op(B) columns when
   /// false). The other operand is the activation, quantized per tensor.
   bool weights_in_a = true;
-  /// kInt8 only: per-tensor activation quantization scale (absmax / 127
-  /// from a calibration pass). <= 0 means "dynamic": gemm() computes the
-  /// activation absmax serially before any fan-out, so the scale — and the
-  /// result — is independent of worker count and stripe geometry.
+  /// kInt8 only: per-tensor activation quantization scale (range / 127
+  /// from a calibration pass). A fixed scale keeps every output bit
+  /// independent of the other items, worker count and stripe geometry.
+  /// Must be > 0 at kInt8: gemm() throws CheckError otherwise.
   float act_scale = 0.f;
-  /// Cache-blocking override for this call (plan autotuner). Zero = build
-  /// defaults; ignored entirely on the small-shape naive fp32 path.
-  GemmBlocking blocking;
   /// Implicit-im2col source for op(B) (see PackSource). When set, `b` is
   /// ignored (pass nullptr) and the pack step gathers patch elements
   /// straight from the NCHW image. Requires trans_b == false semantics,
@@ -219,13 +202,6 @@ struct GemmExtra {
   /// staging the column matrix first.
   const PackSource* b_pack = nullptr;
 };
-
-/// @brief True when a gemm() of this shape at tier `p` runs the blocked
-/// kernel, i.e. when a GemmBlocking override can affect scheduling at all.
-/// fp32 falls back to the naive loop for tiny products and narrow C; the
-/// reduced-precision tiers always run blocked. Lets an autotuner skip
-/// shapes where candidate timing would measure nothing.
-bool gemm_blocking_applies(int m, int n, int k, GemmPrecision p);
 
 /// @brief C = op(A) * op(B), optionally accumulating into C.
 /// @param m,n,k Logical GEMM dimensions: op(A) is m x k, op(B) is k x n.
@@ -237,6 +213,7 @@ bool gemm_blocking_applies(int m, int n, int k, GemmPrecision p);
 /// @param accumulate When false C is overwritten; when true the product is
 ///   added onto C's existing values (k-order still ascending per element).
 /// @param extra Optional pack caches and fused epilogue (see GemmExtra).
+/// @throws advp::CheckError at kInt8 without an act_scale > 0.
 void gemm(int m, int n, int k, const float* a, int lda, bool trans_a,
           const float* b, int ldb, bool trans_b, float* c, int ldc,
           bool accumulate = false, const GemmExtra& extra = {});
@@ -256,14 +233,6 @@ void bump_weight_generation();
 /// started with ADVP_PACK_CACHE=0 (the kill-switch restores PR 3's
 /// pack-every-call behaviour) or when the test hook forces it off.
 bool pack_cache_enabled();
-
-/// @brief True when conv forwards should hand gemm() a PackSource instead
-/// of staging the column matrix with im2col_lower first. Off when the
-/// process started with ADVP_IM2COL=staged (or =0) — the kill-switch that
-/// restores the materialized-cols path — or when the test hook forces it
-/// off. The backward pass always stages regardless (gradients never ride
-/// the implicit path).
-bool implicit_im2col_enabled();
 
 // ---- packed-weight export / adoption (.advp model format) ------------------
 //
@@ -354,10 +323,6 @@ bool forcing_portable();
 /// @brief Test/bench hook overriding the ADVP_PACK_CACHE environment
 /// default: 0 forces the cache off, 1 forces it on, -1 restores the env.
 void force_pack_cache(int mode);
-
-/// @brief Test/bench hook overriding the ADVP_IM2COL environment default:
-/// 0 forces the staged path, 1 forces implicit, -1 restores the env.
-void force_im2col(int mode);
 }  // namespace gemm_detail
 
 }  // namespace advp

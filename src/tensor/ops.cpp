@@ -34,14 +34,6 @@ Tensor transpose(const Tensor& a) {
   return t;
 }
 
-namespace {
-
-// Largest im2col staging buffer the batched forward GEMM will ask the
-// arena for (floats). Batches larger than this are processed in groups.
-constexpr std::size_t kColsBudgetFloats = std::size_t{4} << 20;  // 16 MiB
-
-}  // namespace
-
 // Lowers x [Cin,H,W] to columns: row p of the [Cin*K*K, Ho*Wo] column
 // matrix lands at cols[p*cols_ld ...]. `cols_ld` lets several batch items
 // share one wide matrix (each item owns a disjoint Ho*Wo column block).
@@ -49,8 +41,8 @@ void im2col_lower(const float* x, int c_in, int h, int w,
                   const Conv2dSpec& s, float* cols, std::size_t cols_ld) {
   const int ho = s.out_h(h), wo = s.out_w(w);
   const int patch = c_in * s.kernel * s.kernel;
-  // Staged-lowering traffic. The implicit-GEMM conv path never runs this
-  // function, so a warm implicit forward leaves the counter at zero.
+  // Staged-lowering traffic. Only the backward runs this function, so
+  // forwards leave the counter at zero.
   ADVP_OBS_COUNT(kIm2colBytesStaged, static_cast<std::uint64_t>(patch) *
                                          ho * wo * sizeof(float));
   for (int p = 0; p < patch; ++p) {
@@ -114,8 +106,52 @@ void col2im(const float* cols, int c_in, int h, int w, const Conv2dSpec& s,
 
 }  // namespace
 
+void conv2d_forward_into(const float* x, int n, int c_in, int h, int w,
+                         const float* weights, const Conv2dSpec& spec,
+                         float* y, const GemmExtra& extra) {
+  const int ho = spec.out_h(h), wo = spec.out_w(w);
+  const int patch = c_in * spec.kernel * spec.kernel;
+  const int pixels = ho * wo;
+  const std::size_t x_stride = static_cast<std::size_t>(c_in) * h * w;
+  const std::size_t y_stride =
+      static_cast<std::size_t>(spec.out_channels) * pixels;
+  // One MAC per (item, out-channel, patch entry, output pixel); the GEMMs
+  // below also land in matmul_flops (documented overlap).
+  ADVP_OBS_COUNT(kConv2dFlops, 2ull * n * y_stride * patch);
+  PackSource ps;
+  ps.item_stride = x_stride;
+  ps.c_in = c_in;
+  ps.h = h;
+  ps.w = w;
+  ps.kernel = spec.kernel;
+  ps.stride = spec.stride;
+  ps.pad = spec.pad;
+  ps.out_h = ho;
+  ps.out_w = wo;
+  // Each item's GEMM gathers its patches straight from x inside the panel
+  // packer and writes through the epilogue directly into y: no column
+  // matrix, no staging buffer, no scatter pass.
+  auto run_item = [&](std::size_t i) {
+    PackSource item_ps = ps;
+    item_ps.base = x + i * x_stride;
+    GemmExtra item_extra = extra;
+    item_extra.b_pack = &item_ps;
+    gemm(spec.out_channels, pixels, patch, weights, patch, /*trans_a=*/false,
+         /*b=*/nullptr, pixels, /*trans_b=*/false, y + i * y_stride, pixels,
+         /*accumulate=*/false, item_extra);
+  };
+  // Item 0 warms the weight slot on this thread; the remaining items'
+  // slot lookups are pure reads and fan out.
+  run_item(0);
+  if (n > 1 && max_workers() > 1 && !in_parallel_region())
+    parallel_for(1, static_cast<std::size_t>(n), run_item);
+  else
+    for (std::size_t i = 1; i < static_cast<std::size_t>(n); ++i)
+      run_item(i);
+}
+
 Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
-                      const Conv2dSpec& spec, const ConvFusion* fusion) {
+                      const Conv2dSpec& spec, const GemmExtra& extra) {
   ADVP_CHECK_MSG(x.rank() == 4, "conv2d: input must be NCHW");
   const int n = x.dim(0), c_in = x.dim(1), h = x.dim(2), wd = x.dim(3);
   ADVP_CHECK_MSG(c_in == spec.in_channels, "conv2d: Cin mismatch");
@@ -125,145 +161,17 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
   ADVP_CHECK(b.rank() == 1 && b.dim(0) == spec.out_channels);
   const int ho = spec.out_h(h), wo = spec.out_w(wd);
   ADVP_CHECK_MSG(ho > 0 && wo > 0, "conv2d: output collapses to zero size");
-
-  const int patch = c_in * spec.kernel * spec.kernel;
-  const int pixels = ho * wo;
-  // Every route below writes each y element (GEMM stores or the scatter).
+  // Every GEMM store writes its y elements.
   Tensor y = Tensor::uninitialized({n, spec.out_channels, ho, wo});
-
-  const std::size_t x_stride = static_cast<std::size_t>(c_in) * h * wd;
-  const std::size_t y_stride =
-      static_cast<std::size_t>(spec.out_channels) * pixels;
-  // One MAC per (item, out-channel, patch entry, output pixel); the im2col
-  // GEMMs below also land in matmul_flops (documented overlap).
-  ADVP_OBS_COUNT(kConv2dFlops, 2ull * n * y_stride * patch);
-
-  // With fusion: bias (and optional BN fold + activation) move into the
-  // GEMM epilogue, the weight packing is served from the caller's cache
-  // slot, and the single-item case writes the GEMM output (epilogue
-  // applied) directly into y — skipping the staging buffer and the
-  // scatter pass entirely. All variants are bit-identical: the epilogue
-  // performs the same float ops, in the same order, as the separate
-  // bias-scatter + BatchNorm2d + activation passes.
+  // The bias add is the epilogue: the same float add, on each element
+  // right after its full k-accumulation. Rows of the conv GEMM are
+  // out-channels; the weight tensor is already the [Cout, patch] op(A).
   GemmEpilogue epi;
-  GemmExtra extra;
-  if (fusion) {
-    epi.bias = b.data();  // rows of the conv GEMM are out-channels
-    epi.bn_mean = fusion->bn_mean;
-    epi.bn_inv_std = fusion->bn_inv_std;
-    epi.bn_gamma = fusion->bn_gamma;
-    epi.bn_beta = fusion->bn_beta;
-    epi.act = fusion->act;
-    epi.slope = fusion->act_slope;
-    extra.a_cache = fusion->weight_cache;
-    extra.epilogue = &epi;
-    extra.precision = fusion->precision;  // weights_in_a: conv W is op(A)
-    extra.act_scale = fusion->act_scale;
-  }
-
-  // Implicit-GEMM route (fusion only): each item's GEMM gathers patch
-  // elements straight from x inside the panel packer and writes through
-  // the fused epilogue directly into y — no column matrix, no staging
-  // buffer, no scatter pass. Bit-identical to the staged route below by
-  // the pack contract (same element multiset, same panel order, same
-  // k-accumulation). int8 with a *dynamic* activation scale stays staged
-  // when n > 1: the staged group computes one absmax across all items'
-  // columns, and a per-item GEMM would (validly but differently) rescale.
-  const bool implicit =
-      fusion && implicit_im2col_enabled() &&
-      (fusion->precision != GemmPrecision::kInt8 ||
-       fusion->act_scale > 0.f || n == 1);
-  if (implicit) {
-    PackSource ps;
-    ps.item_stride = x_stride;
-    ps.items = 1;
-    ps.c_in = c_in;
-    ps.h = h;
-    ps.w = wd;
-    ps.kernel = spec.kernel;
-    ps.stride = spec.stride;
-    ps.pad = spec.pad;
-    ps.out_h = ho;
-    ps.out_w = wo;
-    auto run_item = [&](std::size_t i) {
-      PackSource item_ps = ps;
-      item_ps.base = x.data() + i * x_stride;
-      GemmExtra item_extra = extra;
-      item_extra.b_pack = &item_ps;
-      gemm(spec.out_channels, pixels, patch, w.data(), patch,
-           /*trans_a=*/false, /*b=*/nullptr, pixels, /*trans_b=*/false,
-           y.data() + i * y_stride, pixels, /*accumulate=*/false,
-           item_extra);
-    };
-    // Item 0 runs serially so the shared weight-cache slot warms exactly
-    // once; the remaining items' slot lookups are pure reads and fan out.
-    run_item(0);
-    if (n > 1 && max_workers() > 1 && !in_parallel_region())
-      parallel_for(1, static_cast<std::size_t>(n), run_item);
-    else
-      for (std::size_t i = 1; i < static_cast<std::size_t>(n); ++i)
-        run_item(i);
-    return y;
-  }
-
-  // The whole batch (in arena-budget groups) is lowered into one wide
-  // column matrix [patch, group*Ho*Wo] and multiplied in a single GEMM:
-  // item columns are disjoint and each output element's k-accumulation is
-  // unchanged, so results are bit-identical to a per-item loop while the
-  // kernel sees one large, well-blocked product. The weight tensor is
-  // already the [Cout, patch] GEMM operand in row-major order.
-  const std::size_t group = std::clamp<std::size_t>(
-      kColsBudgetFloats / (static_cast<std::size_t>(patch) * pixels),
-      std::size_t{1}, static_cast<std::size_t>(n));
-  ScratchArena& arena = ScratchArena::local();
-  for (std::size_t n0 = 0; n0 < static_cast<std::size_t>(n); n0 += group) {
-    const std::size_t gn =
-        std::min(group, static_cast<std::size_t>(n) - n0);
-    const std::size_t wide = gn * pixels;
-    ScratchArena::Frame frame(arena);
-    float* cols = arena.alloc_floats(static_cast<std::size_t>(patch) * wide);
-    auto lower = [&](std::size_t i) {
-      im2col_lower(x.data() + (n0 + i) * x_stride, c_in, h, wd, spec,
-                   cols + i * pixels, wide);
-    };
-    if (gn > 1 && max_workers() > 1 && !in_parallel_region())
-      parallel_for(0, gn, lower);
-    else
-      for (std::size_t i = 0; i < gn; ++i) lower(i);
-
-    if (fusion && gn == 1) {
-      gemm(spec.out_channels, pixels, patch, w.data(), patch,
-           /*trans_a=*/false, cols, pixels, /*trans_b=*/false,
-           y.data() + n0 * y_stride, pixels, /*accumulate=*/false, extra);
-      continue;
-    }
-
-    float* ybuf = arena.alloc_floats(
-        static_cast<std::size_t>(spec.out_channels) * wide);
-    gemm(spec.out_channels, static_cast<int>(wide), patch, w.data(), patch,
-         /*trans_a=*/false, cols, static_cast<int>(wide), /*trans_b=*/false,
-         ybuf, static_cast<int>(wide), /*accumulate=*/false, extra);
-
-    auto scatter = [&](std::size_t i) {
-      float* yp = y.data() + (n0 + i) * y_stride;
-      for (int oc = 0; oc < spec.out_channels; ++oc) {
-        const float bias = b[static_cast<std::size_t>(oc)];
-        const float* src =
-            ybuf + static_cast<std::size_t>(oc) * wide + i * pixels;
-        float* dst = yp + static_cast<std::size_t>(oc) * pixels;
-        if (fusion) {
-          // Epilogue already applied bias (+BN/act) in the GEMM pass.
-          std::copy(src, src + pixels, dst);
-        } else {
-          for (int j = 0; j < pixels; ++j) dst[j] = src[j] + bias;
-        }
-      }
-    };
-    if (gn > 1 && max_workers() > 1 && !in_parallel_region())
-      parallel_for(0, gn, scatter);
-    else
-      for (std::size_t i = 0; i < gn; ++i) scatter(i);
-  }
+  epi.bias = b.data();
+  GemmExtra conv_extra = extra;
+  conv_extra.epilogue = &epi;
+  conv2d_forward_into(x.data(), n, c_in, h, wd, w.data(), spec, y.data(),
+                      conv_extra);
   return y;
 }
 

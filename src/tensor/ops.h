@@ -37,40 +37,29 @@ struct Conv2dSpec {
   int out_w(int in_w) const { return (in_w + 2 * pad - kernel) / stride + 1; }
 };
 
-/// Inference fast-path options for conv2d_forward. With `fusion` set the
-/// bias scatter moves into the GEMM epilogue (plus an optional eval
-/// batch-norm fold and activation — all per out-channel), and the weight
-/// operand's packing is reused across calls through `weight_cache`.
-/// Results are bit-identical to the separate passes in every case.
-struct ConvFusion {
-  GemmCacheSlot* weight_cache = nullptr;  ///< pack-once cache for W
-  // Eval-mode BatchNorm fold, per out-channel (all four set, or all null).
-  const float* bn_mean = nullptr;
-  const float* bn_inv_std = nullptr;
-  const float* bn_gamma = nullptr;
-  const float* bn_beta = nullptr;
-  Act act = Act::kNone;
-  float act_slope = 0.f;
-  /// Numeric tier for the conv GEMMs (see tensor/gemm.h). Non-fp32 tiers
-  /// are only legal on backward-free inference paths; weights quantize per
-  /// out-channel into `weight_cache` under kInt8.
-  GemmPrecision precision = GemmPrecision::kFp32;
-  /// kInt8 only: calibrated per-tensor activation scale (range / 127);
-  /// <= 0 falls back to a dynamic per-call absmax.
-  float act_scale = 0.f;
-};
-
 /// x: [N, Cin, H, W]; w: [Cout, Cin, K, K]; b: [Cout].
-/// Returns [N, Cout, Ho, Wo].
+/// Returns [N, Cout, Ho, Wo]: conv2d_forward_into with the bias as the
+/// GEMM epilogue. `extra` carries the caller's weight cache slot
+/// (a_cache), tier and int8 activation scale; its epilogue and b_pack are
+/// set here.
 Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
-                      const Conv2dSpec& spec,
-                      const ConvFusion* fusion = nullptr);
+                      const Conv2dSpec& spec, const GemmExtra& extra = {});
+
+/// The conv forward loop over `n` items of [c_in, h, w] at x: one
+/// implicit-GEMM per item (W as op(A), the item's patches gathered by the
+/// B packer, see PackSource), written into y [n, Cout, Ho, Wo] through
+/// extra.epilogue. Item 0 runs on the calling thread, so a cold a_cache
+/// slot is filled once before the other items fan out over the pool,
+/// each GEMM serial inside the region: any worker count gives the same
+/// bits.
+void conv2d_forward_into(const float* x, int n, int c_in, int h, int w,
+                         const float* weights, const Conv2dSpec& spec,
+                         float* y, const GemmExtra& extra);
 
 /// Lowers one image x [Cin,H,W] to its im2col column matrix: row p of the
-/// [Cin*K*K, Ho*Wo] matrix lands at cols[p*cols_ld ...]. This is the exact
-/// lowering conv2d_forward uses internally; exposed so a compiled
-/// execution plan (nn/plan) can stage the identical GEMM operand into its
-/// own scratch and stay bit-identical to the eager conv.
+/// [Cin*K*K, Ho*Wo] matrix lands at cols[p*cols_ld ...]. The backward's
+/// lowering for the dW GEMM. gemm() on these columns is also the
+/// reference the implicit forward must match bit for bit.
 void im2col_lower(const float* x, int c_in, int h, int w,
                   const Conv2dSpec& s, float* cols, std::size_t cols_ld);
 

@@ -1,9 +1,9 @@
-// Implicit-GEMM convolution: the fused im2col-in-the-packer path must be
-// bit-identical to the staged column-matrix path across conv geometries
-// (stride > 1, padding, 1x1 kernels, non-square inputs), precision tiers
-// (fp32 / bf16 / int8, calibrated and dynamic), and worker counts; the
-// backward pass must stay pinned to the staged lowering; and a warm
-// implicit plan forward must stage zero im2col bytes.
+// Implicit-GEMM convolution: the im2col-in-the-packer forward must be
+// bit-identical to gemm() on the staged column matrix across conv
+// geometries (stride > 1, padding, 1x1 kernels, non-square inputs),
+// precision tiers (fp32 / bf16 / calibrated int8), and worker counts; the
+// backward pass keeps the staged lowering; and a warm plan forward must
+// stage zero im2col bytes.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,16 +22,6 @@
 
 namespace advp {
 namespace {
-
-// Restores the im2col/plan hooks to their environment defaults on scope
-// exit so one test cannot leak a forced mode into the next.
-struct HookGuard {
-  ~HookGuard() {
-    gemm_detail::force_im2col(-1);
-    nn::plan_detail::force_plan(-1);
-    nn::plan_detail::force_tune(-1);
-  }
-};
 
 bool bitwise_equal(const Tensor& a, const Tensor& b) {
   if (a.shape() != b.shape()) return false;
@@ -67,8 +57,8 @@ PackSource pack_source(const Tensor& x, const Conv2dSpec& s) {
   return ps;
 }
 
-// Stages the wide [patch, items*pixels] column matrix exactly as the
-// staged conv path does (each item owns a disjoint pixel-column block).
+// Stages the wide [patch, items*pixels] column matrix with im2col_lower
+// (each item owns a disjoint pixel-column block).
 std::vector<float> stage_cols(const Tensor& x, const Conv2dSpec& s) {
   const int pixels = s.out_h(x.dim(2)) * s.out_w(x.dim(3));
   const int patch = x.dim(1) * s.kernel * s.kernel;
@@ -84,8 +74,7 @@ std::vector<float> stage_cols(const Tensor& x, const Conv2dSpec& s) {
 
 // The raw-GEMM identity matrix: for every geometry x tier x worker count,
 // a gemm() fed a PackSource must produce the same bits as the same gemm()
-// fed the staged column matrix. Dynamic int8 (act_scale <= 0) is included
-// — absmax over the gathered multiset equals absmax over the staged one.
+// fed the staged column matrix.
 TEST(ImplicitGemmPack, BitIdenticalToStagedAcrossGeometriesTiersWorkers) {
   const Geo geos[] = {
       {5, 16, 16, 3, 1, 1, 3, "k3s1p1"},
@@ -121,7 +110,6 @@ TEST(ImplicitGemmPack, BitIdenticalToStagedAcrossGeometriesTiersWorkers) {
         {GemmPrecision::kFp32, 0.f, "fp32"},
         {GemmPrecision::kBf16, 0.f, "bf16"},
         {GemmPrecision::kInt8, absmax_of(x) / 127.f, "int8-calibrated"},
-        {GemmPrecision::kInt8, 0.f, "int8-dynamic"},
     };
     for (const Tier& tier : tiers) {
       for (int workers : {1, 4}) {
@@ -177,12 +165,11 @@ TEST(ImplicitGemmPack, NaiveFallbackGathersIdenticalDenseMatrix) {
   EXPECT_TRUE(bitwise_equal(c_staged, c_implicit));
 }
 
-// The fused eager conv must agree between the two routes for every tier,
-// batch size, and worker count — the ADVP_IM2COL kill-switch is the
-// oracle. (int8 with a dynamic scale and batch > 1 routes back to the
-// staged group internally, so the comparison pins that gate too.)
+// conv2d_forward (per-item implicit GEMMs, bias in the epilogue, items
+// fanned out) must give the bits of one wide gemm() over the staged
+// column matrix with the same GemmExtra, for every tier, batch size, and
+// worker count.
 TEST(ImplicitConvForward, FusedEagerMatchesStagedOracle) {
-  HookGuard guard;
   Rng rng(21);
   Conv2dSpec spec;
   spec.in_channels = 3;
@@ -192,50 +179,55 @@ TEST(ImplicitConvForward, FusedEagerMatchesStagedOracle) {
   spec.pad = 1;
   const Tensor w = Tensor::rand({8, 3, 3, 3}, rng);
   const Tensor b = Tensor::rand({8}, rng);
-  struct Tier {
-    GemmPrecision prec;
-    bool calibrated;
-    const char* name;
-  };
-  const Tier tiers[] = {
-      {GemmPrecision::kFp32, false, "fp32"},
-      {GemmPrecision::kBf16, false, "bf16"},
-      {GemmPrecision::kInt8, true, "int8-calibrated"},
-      {GemmPrecision::kInt8, false, "int8-dynamic"},
-  };
+  const GemmPrecision tiers[] = {GemmPrecision::kFp32, GemmPrecision::kBf16,
+                                 GemmPrecision::kInt8};
+  const int patch = 3 * 3 * 3;
   for (int batch : {1, 3}) {
     Tensor x = Tensor::rand({batch, 3, 20, 20}, rng);
     for (std::size_t i = 0; i < x.numel(); ++i) x[i] = x[i] * 2.f - 1.f;
-    for (const Tier& tier : tiers) {
+    const std::vector<float> cols = stage_cols(x, spec);
+    const int pixels = spec.out_h(20) * spec.out_w(20);
+    const int wide = batch * pixels;
+    for (GemmPrecision tier : tiers) {
       for (int workers : {1, 4}) {
         ScopedMaxWorkers scoped(static_cast<std::size_t>(workers));
         GemmCacheSlot slot_staged, slot_implicit;
-        ConvFusion fusion;
-        fusion.act = Act::kReluLeaky;
-        fusion.act_slope = 0.1f;
-        fusion.precision = tier.prec;
-        fusion.act_scale = tier.calibrated ? absmax_of(x) / 127.f : 0.f;
+        GemmExtra extra;
+        extra.precision = tier;
+        extra.act_scale = absmax_of(x) / 127.f;
 
-        gemm_detail::force_im2col(0);
-        fusion.weight_cache = &slot_staged;
-        const Tensor y_staged = conv2d_forward(x, w, b, spec, &fusion);
+        GemmEpilogue epi;
+        epi.bias = b.data();
+        GemmExtra staged = extra;
+        staged.a_cache = &slot_staged;
+        staged.epilogue = &epi;
+        std::vector<float> c(static_cast<std::size_t>(8) * wide);
+        gemm(8, wide, patch, w.data(), patch, /*trans_a=*/false, cols.data(),
+             wide, /*trans_b=*/false, c.data(), wide, /*accumulate=*/false,
+             staged);
 
-        gemm_detail::force_im2col(1);
-        fusion.weight_cache = &slot_implicit;
-        const Tensor y_implicit = conv2d_forward(x, w, b, spec, &fusion);
-
-        EXPECT_TRUE(bitwise_equal(y_staged, y_implicit))
-            << tier.name << ", batch " << batch << ", workers " << workers;
+        extra.a_cache = &slot_implicit;
+        const Tensor y = conv2d_forward(x, w, b, spec, extra);
+        bool same = true;
+        for (int i = 0; i < batch; ++i)
+          for (int oc = 0; oc < 8; ++oc)
+            same = same &&
+                   std::memcmp(y.data() + static_cast<std::size_t>(
+                                              i * 8 + oc) * pixels,
+                               &c[static_cast<std::size_t>(oc) * wide +
+                                  static_cast<std::size_t>(i) * pixels],
+                               pixels * sizeof(float)) == 0;
+        EXPECT_TRUE(same) << precision_name(tier) << ", batch " << batch
+                          << ", workers " << workers;
       }
     }
   }
 }
 
-// Unfused forwards and the backward pass stay on the staged lowering even
-// when implicit mode is forced on: the staged-bytes counter must tick,
-// and gradients must not depend on the mode at all.
+// The backward keeps the staged lowering: its staged-bytes counter ticks,
+// while a forward stages nothing. Gradients are independent of the
+// worker count.
 TEST(ImplicitConvBackward, GradientsStayStagedAndModeIndependent) {
-  HookGuard guard;
   Rng rng(33);
   Conv2dSpec spec;
   spec.in_channels = 3;
@@ -249,73 +241,58 @@ TEST(ImplicitConvBackward, GradientsStayStagedAndModeIndependent) {
   const Tensor dy = Tensor::rand({2, 6, 12, 12}, rng);
 
   obs::enable();
-  gemm_detail::force_im2col(1);
   const std::uint64_t before =
       obs::counter_value(obs::Counter::kIm2colBytesStaged);
-  const Conv2dGrads g_implicit = conv2d_backward(x, w, dy, spec);
-  if (!obs::trace_disabled())
+  const Conv2dGrads g1 = [&] {
+    ScopedMaxWorkers one(1);
+    return conv2d_backward(x, w, dy, spec);
+  }();
+  if (!obs::trace_disabled()) {
     EXPECT_GT(obs::counter_value(obs::Counter::kIm2colBytesStaged), before)
         << "backward must keep running the staged lowering";
-  // Unfused forward also stays staged (no epilogue to fuse into).
+  }
   const std::uint64_t before_fwd =
       obs::counter_value(obs::Counter::kIm2colBytesStaged);
   conv2d_forward(x, w, b, spec);
-  if (!obs::trace_disabled())
-    EXPECT_GT(obs::counter_value(obs::Counter::kIm2colBytesStaged),
-              before_fwd)
-        << "unfused forward must keep running the staged lowering";
+  EXPECT_EQ(obs::counter_value(obs::Counter::kIm2colBytesStaged), before_fwd)
+      << "forward staged im2col bytes";
   obs::enable(false);
 
-  gemm_detail::force_im2col(0);
-  const Conv2dGrads g_staged = conv2d_backward(x, w, dy, spec);
-  EXPECT_TRUE(bitwise_equal(g_implicit.dx, g_staged.dx));
-  EXPECT_TRUE(bitwise_equal(g_implicit.dw, g_staged.dw));
-  EXPECT_TRUE(bitwise_equal(g_implicit.db, g_staged.db));
+  ScopedMaxWorkers four(4);
+  const Conv2dGrads g4 = conv2d_backward(x, w, dy, spec);
+  EXPECT_TRUE(bitwise_equal(g1.dx, g4.dx));
+  EXPECT_TRUE(bitwise_equal(g1.dw, g4.dw));
+  EXPECT_TRUE(bitwise_equal(g1.db, g4.db));
 }
 
-// A warm implicit-path plan forward must stage zero im2col bytes (the
-// per-item column matrix is gone), stay bit-identical to the staged plan
-// run, and the staged run must tick the counter (proving the probe sees
-// this workload at all).
+// A warm plan forward must stage zero im2col bytes (the per-item column
+// matrix never exists), while a train-mode backward through the same
+// model ticks the counter (proving the probe sees this workload at all).
 TEST(ImplicitPlanForward, WarmPlanForwardStagesZeroBytes) {
-  HookGuard guard;
   Rng rng(41);
   models::TinyYolo model({}, rng);
   const Tensor x = Tensor::rand({2, 3, 48, 48}, rng);
-  nn::plan_detail::force_plan(1);
-
-  gemm_detail::force_im2col(1);
-  Tensor y_implicit;
   {
     nn::InferenceModeScope inference;
     model.forward_raw(x, /*train=*/false);  // compile + warm the plan
-    y_implicit = model.forward_raw(x, /*train=*/false);
   }
   obs::enable();
   const std::uint64_t before =
       obs::counter_value(obs::Counter::kIm2colBytesStaged);
   {
     nn::InferenceModeScope inference;
-    y_implicit = model.forward_raw(x, /*train=*/false);
+    model.forward_raw(x, /*train=*/false);
   }
   EXPECT_EQ(obs::counter_value(obs::Counter::kIm2colBytesStaged), before)
-      << "warm implicit plan forward staged im2col bytes";
+      << "warm plan forward staged im2col bytes";
 
-  gemm_detail::force_im2col(0);
-  const std::uint64_t staged_before =
-      obs::counter_value(obs::Counter::kIm2colBytesStaged);
-  Tensor y_staged;
-  {
-    nn::InferenceModeScope inference;
-    y_staged = model.forward_raw(x, /*train=*/false);
+  const std::vector<std::vector<Box>> targets(2, {Box{10.f, 10.f, 16.f, 16.f}});
+  model.loss_backward(x, targets, /*train=*/true);
+  if (!obs::trace_disabled()) {
+    EXPECT_GT(obs::counter_value(obs::Counter::kIm2colBytesStaged), before)
+        << "train-mode backward must tick the counter";
   }
-  if (!obs::trace_disabled())
-    EXPECT_GT(obs::counter_value(obs::Counter::kIm2colBytesStaged),
-              staged_before)
-        << "staged plan forward must tick the counter";
   obs::enable(false);
-
-  EXPECT_TRUE(bitwise_equal(y_implicit, y_staged));
 }
 
 }  // namespace

@@ -497,10 +497,11 @@ TEST(SerializeTest, FileRoundTrip) {
   std::remove(path.c_str());
 }
 
-// ---- inference fast path ----------------------------------------------------
+// ---- inference mode ---------------------------------------------------------
 
-// A stack hitting every fusion pattern: Conv+BN+SiLU, Conv+ReLU, a bare
-// Conv followed by a non-fusible layer, and Linear+ReLU / bare Linear.
+// A stack hitting every pattern the plan compiler fuses: Conv+BN+SiLU,
+// Conv+ReLU, a bare Conv followed by a non-fusible layer, and Linear+ReLU /
+// bare Linear.
 Sequential make_fusible_stack(Rng& rng) {
   Sequential net;
   net.emplace<Conv2d>(3, 6, 3, 1, 1, rng);
@@ -517,9 +518,11 @@ Sequential make_fusible_stack(Rng& rng) {
   return net;
 }
 
+// The scoped walk skips the backward caches and serves warm weight packs;
+// it must give the bits of the plain eval walk.
 TEST(InferenceModeTest, FusedForwardBitIdenticalToPlainEval) {
-  // Exact fused-vs-plain identity only holds in fp32: pin it so the test
-  // also passes under an ADVP_PRECISION=bf16/int8 environment.
+  // The plain eval walk always runs fp32: pin the scoped one to fp32 too
+  // so the test also passes under an ADVP_PRECISION=bf16/int8 environment.
   PrecisionScope fp32(GemmPrecision::kFp32);
   Rng rng(15);
   Sequential net = make_fusible_stack(rng);
@@ -570,7 +573,7 @@ TEST(InferenceModeTest, TrainingStepsInvalidatePackedWeights) {
   Rng rng(17);
   Sequential net = make_fusible_stack(rng);
   Tensor x = Tensor::randn({2, 3, 8, 8}, rng, 0.5f);
-  // Warm every pack cache on the fused path.
+  // Warm every pack cache on the scoped walk.
   {
     InferenceModeScope scope;
     net.forward(x, /*train=*/false);
@@ -580,7 +583,7 @@ TEST(InferenceModeTest, TrainingStepsInvalidatePackedWeights) {
   net.backward(Tensor::ones(y.shape()));
   Sgd opt(net.params(), 0.05f);
   opt.step();
-  // The fused forward must see the stepped weights, not stale packs.
+  // The scoped forward must see the stepped weights, not stale packs.
   Tensor plain = net.forward(x, /*train=*/false);
   Tensor fused;
   {

@@ -24,7 +24,6 @@
 #include "defenses/contrastive.h"
 #include "models/distnet.h"
 #include "models/tiny_yolo.h"
-#include "nn/plan.h"
 #include "nn/precision.h"
 #include "tensor/ops.h"
 
@@ -130,16 +129,9 @@ TEST(OracleHashTest, TinyYoloEvalLossBackwardMatchesRecordedBits) {
   }
 }
 
-// Restores the plan hook to its environment default on scope exit.
-struct PlanOn {
-  PlanOn() { nn::plan_detail::force_plan(1); }
-  ~PlanOn() { nn::plan_detail::force_plan(-1); }
-};
-
 TEST(OracleHashTest, SiluEpiloguePlanForwardMatchesRecordedBits) {
   const std::uint64_t expected[] = {266870532067451682ull,
                                     9849824953707355818ull};
-  PlanOn plans;
   Rng rng(25);
   TinyYolo model({}, rng);
   settle(model);

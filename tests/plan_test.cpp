@@ -1,10 +1,11 @@
 // Execution-plan compiler: bit-identity of compiled plans against the
-// eager and fused paths across precision tiers, worker counts, and batch
-// sizes; cache invalidation on weight-generation bumps; per-shape plan
-// caching and the slots a cache's plans share; the
-// zero-steady-state-allocation contract; and autotune on/off parity.
+// eager walk (Sequential::forward under an InferenceModeScope) across
+// precision tiers, worker counts, and batch sizes; cache invalidation on
+// weight-generation bumps; per-shape plan caching and the slots a cache's
+// plans share; and the zero-steady-state-allocation contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -23,15 +24,6 @@
 namespace advp::nn {
 namespace {
 
-// Restores the plan/tune hooks to their environment defaults on scope
-// exit so one test cannot leak a forced mode into the next.
-struct HookGuard {
-  ~HookGuard() {
-    plan_detail::force_plan(-1);
-    plan_detail::force_tune(-1);
-  }
-};
-
 bool bitwise_equal(const Tensor& a, const Tensor& b) {
   if (a.shape() != b.shape()) return false;
   return std::memcmp(a.data(), b.data(),
@@ -47,8 +39,12 @@ std::vector<Tensor> random_batches(int n_batches, int batch, int c, int h,
   return out;
 }
 
+// TinyYolo's eager walk: the backbone, then the head conv.
+Tensor yolo_walk(models::TinyYolo& model, const Tensor& x) {
+  return model.head().forward(model.backbone().forward(x, false), false);
+}
+
 TEST(PlanBitIdentity, TinyYoloAcrossTiersWorkersBatches) {
-  HookGuard guard;
   Rng rng(7);
   models::TinyYolo model({}, rng);
   model.calibrate(random_batches(2, 2, 3, 48, 48, 70));  // enables int8
@@ -58,33 +54,30 @@ TEST(PlanBitIdentity, TinyYoloAcrossTiersWorkersBatches) {
     for (int batch : {1, 3, 8}) {
       Rng xr(100 + batch);
       const Tensor x = Tensor::rand({batch, 3, 48, 48}, xr);
-      // Fused oracle: single-threaded, plans off.
-      Tensor fused;
+      // Oracle: the eager walk under the same scopes, single-threaded.
+      Tensor eager;
       {
         ScopedMaxWorkers workers(1);
-        plan_detail::force_plan(0);
         InferenceModeScope inference;
         PrecisionScope scope(tier);
-        fused = model.forward_raw(x, /*train=*/false);
+        eager = yolo_walk(model, x);
+        ASSERT_NE(model.compile_plan(batch), nullptr)
+            << precision_name(tier) << ", batch " << batch;
       }
-      // Eager oracle (fp32 only: the reduced tiers require the fused
-      // inference path): the plain child-by-child walk with no scope.
+      // The walk outside the scope, which keeps the backward caches and
+      // always runs fp32, gives the same bits at fp32.
       if (tier == GemmPrecision::kFp32) {
         ScopedMaxWorkers workers(1);
-        plan_detail::force_plan(0);
-        PrecisionScope scope(tier);
-        Tensor eager = model.forward_raw(x, /*train=*/false);
-        EXPECT_TRUE(bitwise_equal(eager, fused))
-            << "eager vs fused, batch " << batch;
+        EXPECT_TRUE(bitwise_equal(yolo_walk(model, x), eager))
+            << "scoped vs unscoped walk, batch " << batch;
       }
-      plan_detail::force_plan(1);
       for (int workers : {1, 4}) {
         ScopedMaxWorkers scoped(static_cast<std::size_t>(workers));
         InferenceModeScope inference;
         PrecisionScope scope(tier);
         Tensor planned = model.forward_raw(x, /*train=*/false);
-        EXPECT_TRUE(bitwise_equal(planned, fused))
-            << "plan vs fused: tier " << precision_name(tier) << ", batch "
+        EXPECT_TRUE(bitwise_equal(planned, eager))
+            << "plan vs walk: tier " << precision_name(tier) << ", batch "
             << batch << ", workers " << workers;
       }
     }
@@ -92,7 +85,6 @@ TEST(PlanBitIdentity, TinyYoloAcrossTiersWorkersBatches) {
 }
 
 TEST(PlanBitIdentity, DistNetPredictAcrossTiersWorkersBatches) {
-  HookGuard guard;
   Rng rng(8);
   models::DistNet model({}, rng);
   model.calibrate(random_batches(2, 2, 3, 48, 96, 80));
@@ -102,21 +94,27 @@ TEST(PlanBitIdentity, DistNetPredictAcrossTiersWorkersBatches) {
     for (int batch : {1, 3, 8}) {
       Rng xr(200 + batch);
       const Tensor x = Tensor::rand({batch, 3, 48, 96}, xr);
-      std::vector<float> fused;
+      // Oracle: the eager walk's logits, mapped to meters as predict()
+      // maps them.
+      std::vector<float> eager;
       {
         ScopedMaxWorkers workers(1);
-        plan_detail::force_plan(0);
+        InferenceModeScope inference;
         ThreadPrecisionScope scope(tier);
-        fused = model.predict(x);
+        const Tensor logits = model.net().forward(x, /*train=*/false);
+        for (int i = 0; i < batch; ++i)
+          eager.push_back(std::clamp(logits.at(i, 0), 0.f, 1.5f) *
+                          model.config().distance_scale);
+        ASSERT_NE(model.compile_plan(batch), nullptr)
+            << precision_name(tier) << ", batch " << batch;
       }
-      plan_detail::force_plan(1);
       for (int workers : {1, 4}) {
         ScopedMaxWorkers scoped(static_cast<std::size_t>(workers));
         ThreadPrecisionScope scope(tier);
         const std::vector<float> planned = model.predict(x);
-        ASSERT_EQ(planned.size(), fused.size());
-        for (std::size_t i = 0; i < fused.size(); ++i)
-          EXPECT_EQ(planned[i], fused[i])
+        ASSERT_EQ(planned.size(), eager.size());
+        for (std::size_t i = 0; i < eager.size(); ++i)
+          EXPECT_EQ(planned[i], eager[i])
               << "item " << i << ": tier " << precision_name(tier)
               << ", batch " << batch << ", workers " << workers;
       }
@@ -126,9 +124,8 @@ TEST(PlanBitIdentity, DistNetPredictAcrossTiersWorkersBatches) {
 
 // Layer kinds the two perception models never exercise — Upsample2x,
 // GlobalAvgPool, a standalone (unfused) BatchNorm, a leaky ReLU after a
-// non-conv — compiled and compared against forward_fused directly.
+// non-conv — compiled and compared against the eager walk directly.
 TEST(PlanBitIdentity, UncommonLayersMatchFused) {
-  HookGuard guard;
   Rng rng(9);
   Sequential net;
   net.emplace<Conv2d>(3, 8, 3, 1, 1, rng);
@@ -142,20 +139,14 @@ TEST(PlanBitIdentity, UncommonLayersMatchFused) {
 
   Rng xr(90);
   const Tensor x = Tensor::rand({3, 3, 16, 16}, xr);
-  Tensor fused;
-  {
-    plan_detail::force_plan(0);
-    InferenceModeScope inference;
-    fused = net.forward(x, /*train=*/false);
-  }
-  plan_detail::force_plan(1);
   std::vector<Module*> layers;
   for (std::size_t i = 0; i < net.size(); ++i) layers.push_back(&net.child(i));
   PlanCache cache("custom");
   InferenceModeScope inference;
+  const Tensor eager = net.forward(x, /*train=*/false);
   ExecPlan* plan = cache.plan_for(layers, x);
   ASSERT_NE(plan, nullptr);
-  EXPECT_TRUE(bitwise_equal(plan->execute(x), fused));
+  EXPECT_TRUE(bitwise_equal(plan->execute(x), eager));
 }
 
 // A plan that fits the slots of a larger plan of its PlanCache runs on
@@ -164,8 +155,6 @@ TEST(PlanBitIdentity, UncommonLayersMatchFused) {
 // plan, on shared slots or its own, gives the bits of a plan compiled
 // alone, whatever order they execute in.
 TEST(PlanCacheTest, SmallerPlansRunOnTheLargestPlansSlots) {
-  HookGuard guard;
-  plan_detail::force_plan(1);
   Rng rng(15);
   Sequential net;
   net.emplace<Conv2d>(3, 8, 3, 1, 1, rng);
@@ -239,8 +228,6 @@ TEST(PlanCacheTest, SmallerPlansRunOnTheLargestPlansSlots) {
 }
 
 TEST(PlanCacheTest, RecompilesAfterGenerationBumpAndTracksShapes) {
-  HookGuard guard;
-  plan_detail::force_plan(1);
   Rng rng(10);
   models::TinyYolo model({}, rng);
   Rng xr(91);
@@ -262,18 +249,16 @@ TEST(PlanCacheTest, RecompilesAfterGenerationBumpAndTracksShapes) {
 
   // An optimizer-step-style weight mutation invalidates compiled plans;
   // the recompiled plan must track the new weights (and still match the
-  // fused path on them).
+  // eager walk on them).
   model.params()[0]->value *= 1.25f;
   bump_weight_generation();
-  Tensor fused;
+  Tensor eager;
   {
-    plan_detail::force_plan(0);
     ScopedMaxWorkers workers(1);
     InferenceModeScope inference;
     PrecisionScope fp32(GemmPrecision::kFp32);
-    fused = model.forward_raw(x2, false);
+    eager = yolo_walk(model, x2);
   }
-  plan_detail::force_plan(1);
   {
     InferenceModeScope inference;
     PrecisionScope fp32(GemmPrecision::kFp32);
@@ -282,15 +267,13 @@ TEST(PlanCacheTest, RecompilesAfterGenerationBumpAndTracksShapes) {
     Tensor planned = model.forward_raw(x2, false);
     EXPECT_GT(obs::counter_value(obs::Counter::kPlanCompiles),
               compiles_before);
-    EXPECT_TRUE(bitwise_equal(planned, fused));
+    EXPECT_TRUE(bitwise_equal(planned, eager));
   }
   obs::enable(false);
   obs::reset();
 }
 
 TEST(PlanCacheTest, WarmExecutionPerformsZeroSteadyAllocations) {
-  HookGuard guard;
-  plan_detail::force_plan(1);
   Rng rng(11);
   models::TinyYolo model({}, rng);
   Rng xr(92);
@@ -313,8 +296,6 @@ TEST(PlanCacheTest, WarmExecutionPerformsZeroSteadyAllocations) {
 // and 1 workers (at 1 this thread runs every item and every full-width
 // column stripe itself) must all grow nothing, round after round.
 TEST(PlanCacheTest, WarmExecutionAllocationFreeForAnyChunkShare) {
-  HookGuard guard;
-  plan_detail::force_plan(1);
   Rng rng(13);
   models::TinyYolo model({}, rng);
   InferenceModeScope inference;
@@ -343,83 +324,11 @@ TEST(PlanCacheTest, WarmExecutionAllocationFreeForAnyChunkShare) {
   obs::reset();
 }
 
-TEST(PlanTuneTest, DefaultAndAutotunedGeometryBitIdentical) {
-  HookGuard guard;
-  plan_detail::force_plan(1);
-  Rng rng(12);
-  models::TinyYolo model({}, rng);
-  Rng xr(93);
-  const Tensor x = Tensor::rand({2, 3, 48, 48}, xr);
-  InferenceModeScope inference;
-  PrecisionScope fp32(GemmPrecision::kFp32);
-
-  plan_detail::force_tune(1);
-  const Tensor tuned = model.forward_raw(x, false);
-  // Force a recompile with autotuning pinned off: the ADVP_TUNE=0 plan
-  // runs the build-default blocking and must produce the same bits.
-  bump_weight_generation();
-  plan_detail::force_tune(0);
-  const Tensor untuned = model.forward_raw(x, false);
-  EXPECT_TRUE(bitwise_equal(tuned, untuned));
-  ExecPlan* plan = model.compile_plan(2);
-  ASSERT_NE(plan, nullptr);
-  for (const PlannedGemm& g : plan->gemms()) {
-    EXPECT_EQ(g.blocking.mc, 0);
-    EXPECT_EQ(g.blocking.kc, 0);
-    EXPECT_EQ(g.blocking.nc, 0);
-  }
-}
-
-TEST(PlanGateTest, DisabledPlanAndUncalibratedInt8FallBack) {
-  HookGuard guard;
-  Rng rng(13);
-  models::TinyYolo model({}, rng);
-
-  plan_detail::force_plan(0);
-  EXPECT_EQ(model.compile_plan(1), nullptr);
-  obs::enable();
-  obs::reset();
-  {
-    InferenceModeScope inference;
-    Rng xr(94);
-    model.forward_raw(Tensor::rand({1, 3, 48, 48}, xr), false);
-  }
-  EXPECT_EQ(obs::counter_value(obs::Counter::kPlanCompiles), 0u);
-  obs::enable(false);
-  obs::reset();
-
-  // An uncalibrated model cannot compile at int8 (a per-item dynamic
-  // activation scale would diverge from the grouped fused GEMM); the
-  // forward must fall back to the fused path, not fail.
-  plan_detail::force_plan(1);
-  Rng xr(95);
-  const Tensor x = Tensor::rand({2, 3, 48, 48}, xr);
-  Tensor fused;
-  {
-    plan_detail::force_plan(0);
-    ScopedMaxWorkers workers(1);
-    InferenceModeScope inference;
-    PrecisionScope int8(GemmPrecision::kInt8);
-    fused = model.forward_raw(x, false);
-  }
-  plan_detail::force_plan(1);
-  {
-    ScopedMaxWorkers workers(1);
-    InferenceModeScope inference;
-    PrecisionScope int8(GemmPrecision::kInt8);
-    EXPECT_EQ(model.compile_plan(2), nullptr);
-    Tensor out = model.forward_raw(x, false);
-    EXPECT_TRUE(bitwise_equal(out, fused));
-  }
-}
-
 // The white-box attack oracles run eval-mode forwards *without* an
 // InferenceModeScope so the layer backward caches stay populated; the
 // plan gate must leave those on the eager path or every gradient-based
 // attack breaks.
 TEST(PlanGateTest, BackwardPathStaysEager) {
-  HookGuard guard;
-  plan_detail::force_plan(1);
   Rng rng(14);
   models::DistNet model({}, rng);
   Rng xr(96);

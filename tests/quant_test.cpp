@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <string>
 
 #include "core/check.h"
 #include "core/parallel.h"
@@ -225,6 +226,7 @@ TEST(QuantGradientSafetyTest, LowPrecisionForwardThenBackwardThrows) {
   Sequential net;
   net.emplace<Conv2d>(3, 4, 3, 1, 1, rng);
   Tensor x = Tensor::rand({1, 3, 6, 6}, rng);
+  calibrate(net, {x});  // int8 forwards need a calibrated range
   {
     InferenceModeScope inference;
     PrecisionScope scope(GemmPrecision::kInt8);
@@ -252,6 +254,72 @@ TEST(QuantGradientSafetyTest, TrainingForwardStaysFp32UnderScope) {
   // And backward works, because the fp32 path cached normally.
   Tensor dx = net.backward(Tensor::ones(ref.shape()));
   EXPECT_TRUE(dx.same_shape(x));
+}
+
+// Expects `fn` to throw a CheckError whose message names calibrate().
+template <typename Fn>
+void expect_calibration_error(Fn fn, const char* what) {
+  try {
+    fn();
+    ADD_FAILURE() << what << ": no CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("calibrate()"), std::string::npos)
+        << what << ": " << e.what();
+  }
+}
+
+// int8 quantizes activations with a calibrated scale only: an int8 eval
+// forward through a layer without a range (0 counts as none) fails
+// loudly instead of picking a scale from the batch at hand.
+TEST(QuantGateTest, Int8WithoutCalibrationThrows) {
+  Rng rng(43);
+  Sequential net;
+  net.emplace<Conv2d>(3, 4, 3, 1, 1, rng);
+  net.emplace<ReLU>();
+  net.emplace<Flatten>();
+  net.emplace<Linear>(4 * 6 * 6, 2, rng);
+  models::DistNet dist(models::DistNetConfig{}, rng);
+  models::TinyYolo yolo(models::TinyYoloConfig{}, rng);
+  const Tensor x = Tensor::rand({2, 3, 6, 6}, rng);
+  const Tensor xd = Tensor::rand({2, 3, 48, 96}, rng);
+  const Tensor xy = Tensor::rand({2, 3, 48, 48}, rng);
+  {
+    InferenceModeScope inference;
+    PrecisionScope int8(GemmPrecision::kInt8);
+    expect_calibration_error([&] { net.forward(x, /*train=*/false); },
+                             "Sequential::forward");
+    expect_calibration_error([&] { dist.predict(xd); }, "DistNet::predict");
+    expect_calibration_error([&] { yolo.detect(xy); }, "TinyYolo::detect");
+  }
+
+  // Calibrated, then one layer's range reset to 0: that layer has no
+  // range, whether the forward runs a plan or the eager walk.
+  dist.calibrate({xd});
+  {
+    PrecisionScope int8(GemmPrecision::kInt8);
+    EXPECT_NO_THROW(dist.predict(xd));
+    Sequential& seq = dist.net();
+    auto& head = dynamic_cast<Linear&>(seq.child(seq.size() - 1));
+    head.set_calibration_range(0.f);
+    expect_calibration_error([&] { dist.predict(xd); },
+                             "DistNet::predict, head range 0");
+    bump_weight_generation();  // recompile: the plan compiler declines too
+    expect_calibration_error([&] { dist.predict(xd); },
+                             "DistNet::predict, recompiled");
+  }
+
+  // The kernel itself: int8 with act_scale 0.
+  const Tensor a = Tensor::rand({4, 8}, rng);
+  const Tensor b = Tensor::rand({8, 16}, rng);
+  Tensor c({4, 16});
+  GemmExtra extra;
+  extra.precision = GemmPrecision::kInt8;
+  expect_calibration_error(
+      [&] {
+        gemm(4, 16, 8, a.data(), 8, false, b.data(), 16, false, c.data(), 16,
+             /*accumulate=*/false, extra);
+      },
+      "gemm");
 }
 
 TEST(QuantDeterminismTest, TierOutputsWorkerCountInvariant) {

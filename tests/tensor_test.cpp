@@ -462,10 +462,6 @@ TEST(PoolTest, DegenerateWindowKeepsGradientInItsWindow) {
 // compiled forward through two pools (the second with an odd output
 // width) equals the plain layer-by-layer walk.
 TEST(PoolTest, PlanForwardMatchesEagerWalk) {
-  struct PlanOn {
-    PlanOn() { nn::plan_detail::force_plan(1); }
-    ~PlanOn() { nn::plan_detail::force_plan(-1); }
-  } plans;
   Rng rng(33);
   nn::Sequential net;
   net.emplace<nn::Conv2d>(3, 4, 3, 1, 1, rng);

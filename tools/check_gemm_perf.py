@@ -33,12 +33,14 @@ Two reduced-precision sections gate the inference tiers:
 Two sections gate the convolution fast paths:
 
 - "plan": whole-model inference through a compiled nn::ExecPlan vs the
-  uncompiled forward_fused walk, both warm and single-threaded.
-  plan_speedup must clear PLAN_SPEEDUP_MIN on every committed model.
+  eager walk (Sequential::forward under an InferenceModeScope, the plan's
+  bit-identity oracle), both warm and single-threaded. plan_speedup must
+  clear PLAN_SPEEDUP_MIN on every committed model.
 - "conv": implicit-GEMM convolution (pack_B gathers patches straight
-  from the NCHW image) vs the staged im2col + gemm path, both warm and
-  single-threaded. conv_implicit_speedup must clear CONV_IMPLICIT_MIN on
-  every committed conv shape, baseline-relative on top.
+  from the NCHW image) vs a staged reference in the bench (im2col_lower
+  plus one gemm with the same GemmExtra), both warm and single-threaded.
+  conv_implicit_speedup must clear CONV_IMPLICIT_MIN on every committed
+  conv shape, baseline-relative on top.
 
 Two sections gate the elementwise kernels:
 
@@ -61,13 +63,12 @@ Two sections gate the elementwise kernels:
 
 Also asserts `identical: true` for every entry: the blocked kernel, the
 fused epilogue, the warm-cache path, both reduced-precision tiers
-(SIMD vs portable micro-kernel), the compiled plan (vs forward_fused,
-autotuned and default blocking alike), the implicit-im2col packer
-(vs the staged column matrix), the sigmoid kernel (vs the libm
-expression), the Gaussian kernel (vs the scalar loop, engine position
-included) and the bulk engine draw (vs single draws, engine position
-included) must all stay bit-identical to their reference passes, on any
-runner. Exit code 1 on any failure.
+(SIMD vs portable micro-kernel), the compiled plan (vs the eager walk),
+the implicit-im2col packer (vs the staged column matrix), the sigmoid
+kernel (vs the libm expression), the Gaussian kernel (vs the scalar loop,
+engine position included) and the bulk engine draw (vs single draws,
+engine position included) must all stay bit-identical to their reference
+passes, on any runner. Exit code 1 on any failure.
 """
 import sys
 
@@ -78,7 +79,7 @@ FUSED_MIN = 1.15  # fused epilogue must beat separate passes by >= 15%
 PACK_REDUCTION_MIN = 0.80  # warm calls must skip >= 80% of packing bytes
 BF16_PACK_MAX = 0.55  # bf16 panels must stay <= 55% of fp32 pack bytes
 INT8_SPEEDUP_MIN = 1.50  # calibrated int8 must beat warm fp32 by >= 50%
-PLAN_SPEEDUP_MIN = 1.10  # compiled plan must beat forward_fused by >= 10%
+PLAN_SPEEDUP_MIN = 1.10  # compiled plan must beat the eager walk by >= 10%
 CONV_IMPLICIT_MIN = 1.15  # implicit im2col must beat staged by >= 15%
 # Elementwise kernels vs the scalar loops they replace: (floor by backend,
 # floor elsewhere), one floor per section. The avx512 floors hold the
