@@ -189,9 +189,9 @@ Tensor ReLU::forward(const Tensor& x, bool train) {
 
 Tensor ReLU::backward(const Tensor& dy) {
   ADVP_CHECK(dy.same_shape(x_cache_));
-  Tensor dx = dy;
+  Tensor dx = Tensor::uninitialized(dy.shape());
   for (std::size_t i = 0; i < dx.numel(); ++i)
-    if (x_cache_[i] <= 0.f) dx[i] *= slope_;
+    dx[i] = x_cache_[i] <= 0.f ? dy[i] * slope_ : dy[i];
   return dx;
 }
 
@@ -204,7 +204,7 @@ Tensor SiLU::forward(const Tensor& x, bool train) {
 
 Tensor SiLU::backward(const Tensor& dy) {
   ADVP_CHECK(dy.same_shape(x_cache_));
-  Tensor dx = dy;
+  Tensor dx = Tensor::uninitialized(dy.shape());
   // sigmoid(x) is recomputed a stack chunk at a time rather than cached by
   // forward, which would hold a second activation-sized tensor per layer.
   constexpr std::size_t kChunk = 256;
@@ -214,7 +214,7 @@ Tensor SiLU::backward(const Tensor& dy) {
     const std::size_t len = std::min(kChunk, dx.numel() - i0);
     sigmoid(x + i0, s, len);
     for (std::size_t j = 0; j < len; ++j)
-      dx[i0 + j] *= s[j] * (1.f + x[i0 + j] * (1.f - s[j]));
+      dx[i0 + j] = dy[i0 + j] * (s[j] * (1.f + x[i0 + j] * (1.f - s[j])));
   }
   return dx;
 }
@@ -415,14 +415,18 @@ Tensor Dropout::backward(const Tensor& dy) {
 // ---- Sequential ---------------------------------------------------------------
 
 Tensor Sequential::forward(const Tensor& x, bool train) {
-  Tensor h = x;
-  for (auto& m : children_) h = m->forward(h, train);
+  if (children_.empty()) return x;
+  // The first child reads x itself: no copy of the input.
+  Tensor h = children_.front()->forward(x, train);
+  for (auto it = children_.begin() + 1; it != children_.end(); ++it)
+    h = (*it)->forward(h, train);
   return h;
 }
 
 Tensor Sequential::backward(const Tensor& dy) {
-  Tensor g = dy;
-  for (auto it = children_.rbegin(); it != children_.rend(); ++it)
+  if (children_.empty()) return dy;
+  Tensor g = children_.back()->backward(dy);
+  for (auto it = children_.rbegin() + 1; it != children_.rend(); ++it)
     g = (*it)->backward(g);
   return g;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -166,6 +167,20 @@ void pack_b(const float* b, int ldb, bool trans_b, int pc, int kc, int j0,
 // same element multiset in the same panel order, and nothing downstream
 // of packing changes, the result is bit-identical to gemm() on the staged
 // column matrix on every tier.
+//
+// The gather runs off a run table that each pack call builds once from the
+// conv geometry. A run is a maximal span of the stripe's columns that stays
+// on one output row of one item and inside one kNr-wide panel, so it is at
+// most kNr lanes wide and its source pixels for any tap sit on one input
+// row. The table records each run's source row and destination offset, and
+// for each kx the lanes whose input column lands inside the image (the
+// [lo, hi) bounds, solved once per pack call instead of once per tap row
+// and panel). Packing a tap row (c, ky, kx) is then one pass over the
+// runs: one row-validity test and one copy of at most kNr floats per run,
+// zeros outside the in-image lanes. On AVX-512 that copy is two masked
+// expand-loads (which read only the in-image floats) and two masked
+// stores; elsewhere, and for stride > 1, a plain lane loop. No pointer
+// outside the input tensor is ever formed.
 
 // Patch-row decomposition of op(B) row p under a conv geometry.
 struct PatchTap {
@@ -187,127 +202,164 @@ inline void next_tap(const PackSource& ps, PatchTap& t) {
   }
 }
 
-// Output-pixel decomposition of op(B) column j. The packers divide once
-// per pack call and then advance the cursor incrementally panel to panel
-// — the per-(row, panel) gather below never divides.
-struct ColCursor {
-  int item, oy, ox;
+// Lanes [lo, hi) of a run as a bit mask (lo <= hi <= kNr <= 32).
+inline std::uint32_t lane_mask(int lo, int hi) {
+  return static_cast<std::uint32_t>((std::uint64_t{1} << hi) -
+                                    (std::uint64_t{1} << lo));
+}
+
+// One run of a stripe's columns. `src` is the float offset of its source
+// row at channel 0 and ky = 0 from ps.base (item plane plus iy0 * w; it
+// may be negative and is only used once a tap's row is known to be in the
+// image), `iy0` that row's image y (oy*stride - pad), `dst` the run's
+// offset in the destination row, and `store` the lanes it writes: its own
+// columns, plus the zero tail of the stripe's partial last panel.
+struct GatherRun {
+  std::ptrdiff_t src;
+  int iy0;
+  int dst;
+  std::uint32_t store;
 };
-inline ColCursor col_cursor(const PackSource& ps, int j) {
+// Per (kx, run): the lanes whose input column lies inside the image, and
+// the input column of the first of them (0 when there is none, so the
+// source pointer stays on the row).
+struct RunLanes {
+  std::uint32_t in_image;
+  int sx;
+};
+struct RunTable {
+  const GatherRun* runs;
+  const RunLanes* lanes;  // kx-major: lanes[kx * lane_stride + run]
+  int count;
+  int lane_stride;
+};
+
+// Builds the run table for stripe columns [j0, j0+nw) in the thread's
+// arena. Column j - j0 lands at (col / kNr) * panel_stride + col % kNr of
+// the destination row: panel_stride = kc*kNr writes packed panel rows,
+// kNr a dense row of round_up(nw, kNr) floats.
+RunTable build_run_table(const PackSource& ps, int j0, int nw,
+                         int panel_stride, ScratchArena& arena) {
+  // Runs end at panel and output-row boundaries only.
+  const int max_runs = (nw + kNr - 1) / kNr + (nw - 1) / ps.out_w + 1;
+  auto* runs = static_cast<GatherRun*>(
+      arena.alloc_bytes(sizeof(GatherRun) * max_runs));
+  auto* lanes = static_cast<RunLanes*>(arena.alloc_bytes(
+      sizeof(RunLanes) * static_cast<std::size_t>(max_runs) * ps.kernel));
   const int pixels = ps.out_h * ps.out_w;
-  const int item = j / pixels;
-  const int pix = j - item * pixels;
-  const int oy = pix / ps.out_w;
-  return {item, oy, pix - oy * ps.out_w};
-}
-inline void advance(const PackSource& ps, ColCursor& cur, int count) {
-  cur.ox += count;
-  while (cur.ox >= ps.out_w) {
-    cur.ox -= ps.out_w;
-    if (++cur.oy == ps.out_h) {
-      cur.oy = 0;
-      ++cur.item;
-    }
-  }
-}
-
-// Fast chunk gather: a full kNr-wide chunk that sits on one output row,
-// stride 1, fully inside the image — one fixed-size copy the compiler
-// lowers to straight vector moves. Returns false when any boundary is in
-// play and the general walk below must run.
-inline bool gather_chunk_interior(const PackSource& ps, const PatchTap& t,
-                                  const ColCursor& cur, float* dst) {
-  if (ps.stride != 1 || cur.ox + kNr > ps.out_w) return false;
-  const int iy = cur.oy + t.ky - ps.pad;
-  const int ix0 = cur.ox + t.kx - ps.pad;
-  if (iy < 0 || iy >= ps.h || ix0 < 0 || ix0 + kNr > ps.w) return false;
-  std::memcpy(dst,
-              ps.base + static_cast<std::size_t>(cur.item) * ps.item_stride +
-                  (static_cast<std::size_t>(t.c) * ps.h + iy) * ps.w + ix0,
-              sizeof(float) * kNr);
-  return true;
-}
-
-// Gathers op(B)(p, j..j+count) for patch tap t into dst, starting at
-// column cursor `cur` (taken by value; the caller advances its own copy).
-// Walks output pixels row by row; per output row the in-image ox range is
-// solved arithmetically, so interior rows reduce to a contiguous copy
-// (stride 1) or a strided pickup, and padding taps write plain zeros.
-inline void gather_row(const PackSource& ps, const PatchTap& t, ColCursor cur,
-                       int count, float* dst) {
-  if (count == kNr && gather_chunk_interior(ps, t, cur, dst)) return;
-  while (count > 0) {
-    const int run = std::min(count, ps.out_w - cur.ox);
-    const int iy = cur.oy * ps.stride + t.ky - ps.pad;
-    if (iy < 0 || iy >= ps.h) {
-      std::fill(dst, dst + run, 0.f);
-    } else {
+  int item = j0 / pixels;
+  const int pix = j0 - item * pixels;
+  int oy = pix / ps.out_w;
+  int ox = pix - oy * ps.out_w;
+  int count = 0;
+  for (int col = 0; col < nw; ++count) {
+    const int in_panel = col % kNr;
+    const int len = std::min({kNr - in_panel, nw - col, ps.out_w - ox});
+    GatherRun& run = runs[count];
+    run.iy0 = oy * ps.stride - ps.pad;
+    run.src = static_cast<std::ptrdiff_t>(item) *
+                  static_cast<std::ptrdiff_t>(ps.item_stride) +
+              static_cast<std::ptrdiff_t>(run.iy0) * ps.w;
+    run.dst = col / kNr * panel_stride + in_panel;
+    run.store = lane_mask(0, col + len == nw ? kNr - in_panel : len);
+    for (int kx = 0; kx < ps.kernel; ++kx) {
       // First input column this run touches: ix(i) = ix0 + i*stride.
-      const int ix0 = cur.ox * ps.stride + t.kx - ps.pad;
+      const int ix0 = ox * ps.stride + kx - ps.pad;
       int lo = ix0 >= 0 ? 0 : (-ix0 + ps.stride - 1) / ps.stride;
       int hi = ix0 < ps.w ? (ps.w - 1 - ix0) / ps.stride + 1 : 0;
-      lo = std::min(lo, run);
-      hi = std::clamp(hi, lo, run);
-      const float* src =
-          ps.base + static_cast<std::size_t>(cur.item) * ps.item_stride +
-          (static_cast<std::size_t>(t.c) * ps.h + iy) * ps.w + ix0;
-      std::fill(dst, dst + lo, 0.f);
-      if (ps.stride == 1) {
-        std::memcpy(dst + lo, src + lo,
-                    static_cast<std::size_t>(hi - lo) * sizeof(float));
-      } else {
-        for (int i = lo; i < hi; ++i) dst[i] = src[i * ps.stride];
-      }
-      std::fill(dst + hi, dst + run, 0.f);
+      lo = std::min(lo, len);
+      hi = std::clamp(hi, lo, len);
+      lanes[static_cast<std::size_t>(kx) * max_runs + count] = {
+          lane_mask(lo, hi), lo < hi ? ix0 + lo * ps.stride : 0};
     }
-    dst += run;
-    count -= run;
-    cur.ox += run;
-    if (cur.ox == ps.out_w) {
-      cur.ox = 0;
-      if (++cur.oy == ps.out_h) {
-        cur.oy = 0;
-        ++cur.item;
+    col += len;
+    ox += len;
+    if (ox == ps.out_w) {
+      ox = 0;
+      if (++oy == ps.out_h) {
+        oy = 0;
+        ++item;
       }
     }
+  }
+  return {runs, lanes, count, max_runs};
+}
+
+// Writes the `store` lanes of dst: lane i takes the next in-image source
+// float (stride apart, starting at src) when bit i of in_image is set, and
+// zero otherwise.
+inline void copy_run(const float* src, std::uint32_t in_image,
+                     std::uint32_t store, int stride, float* dst) {
+#ifdef ADVP_GEMM_AVX512
+  if (stride == 1) {
+    // kNr == 32 as two 16-lane halves; the expand-loads read exactly the
+    // popcount(in_image) in-image floats.
+    const __m512 v0 =
+        _mm512_maskz_expandloadu_ps(static_cast<__mmask16>(in_image), src);
+    const __m512 v1 = _mm512_maskz_expandloadu_ps(
+        static_cast<__mmask16>(in_image >> 16),
+        src + std::popcount(in_image & 0xffffu));
+    _mm512_mask_storeu_ps(dst, static_cast<__mmask16>(store), v0);
+    _mm512_mask_storeu_ps(dst + 16, static_cast<__mmask16>(store >> 16), v1);
+    return;
+  }
+#endif
+  const int lo = in_image ? std::countr_zero(in_image) : 0;
+  const int hi = in_image ? 32 - std::countl_zero(in_image) : 0;
+  const int end = 32 - std::countl_zero(store);
+  for (int i = 0; i < lo; ++i) dst[i] = 0.f;
+  for (int i = lo; i < hi; ++i) dst[i] = src[(i - lo) * stride];
+  for (int i = hi; i < end; ++i) dst[i] = 0.f;
+}
+
+// Gathers op(B) row (tap t) over the table's columns into dst.
+inline void gather_tap_row(const PackSource& ps, const RunTable& rt,
+                           const PatchTap& t, float* dst) {
+  const float* plane = ps.base + static_cast<std::size_t>(t.c) * ps.h * ps.w;
+  const RunLanes* lanes =
+      rt.lanes + static_cast<std::size_t>(t.kx) * rt.lane_stride;
+  const std::ptrdiff_t ky_off = static_cast<std::ptrdiff_t>(t.ky) * ps.w;
+  for (int r = 0; r < rt.count; ++r) {
+    const GatherRun& run = rt.runs[r];
+    // One unsigned compare tests 0 <= iy < h; a padding row copies no lane.
+    const bool row_in = static_cast<unsigned>(run.iy0 + t.ky) <
+                        static_cast<unsigned>(ps.h);
+    const RunLanes& ln = lanes[r];
+    copy_run(plane + (row_in ? run.src + ky_off + ln.sx : 0),
+             row_in ? ln.in_image : 0u, run.store, ps.stride, dst + run.dst);
   }
 }
 
 // Implicit twin of pack_b: stages op(B) rows [pc, pc+kc) x columns
 // [j0, j0+nw) into kNr-column panels, gathering each panel row from the
-// image instead of a staged column matrix. Identical panel bytes, and the
-// staged lowering's pass over the column matrix never happens.
+// image instead of a staged column matrix. Identical panel bytes (the
+// partial last panel's zero columns included), and the staged lowering's
+// pass over the column matrix never happens.
 void pack_b_implicit(const PackSource& ps, int pc, int kc, int j0, int nw,
                      float* bp) {
-  // Row-outer: one tap decomposition per op(B) row, one cursor divide per
-  // call, and the cursor advances panel to panel without dividing. The
-  // panel bytes land in the same positions as the panel-outer order.
-  const ColCursor start = col_cursor(ps, j0);
+  ScratchArena& arena = ScratchArena::local();
+  ScratchArena::Frame frame(arena);
+  const RunTable rt = build_run_table(ps, j0, nw, kc * kNr, arena);
   PatchTap t = patch_tap(ps, pc);
-  for (int kk = 0; kk < kc; ++kk, next_tap(ps, t)) {
-    ColCursor cur = start;
-    float* dst = bp + static_cast<std::size_t>(kk) * kNr;
-    for (int jp = 0; jp < nw; jp += kNr) {
-      const int nr = std::min(kNr, nw - jp);
-      gather_row(ps, t, cur, nr, dst);
-      for (int j = nr; j < kNr; ++j) dst[j] = 0.f;
-      advance(ps, cur, nr);
-      dst += static_cast<std::size_t>(kc) * kNr;  // same row, next panel
-    }
-  }
+  for (int kk = 0; kk < kc; ++kk, next_tap(ps, t))
+    gather_tap_row(ps, rt, t, bp + static_cast<std::size_t>(kk) * kNr);
   ADVP_OBS_COUNT(kGemmPackBytes,
                  static_cast<std::uint64_t>(kc) * round_up(nw, kNr) *
                      sizeof(float));
 }
 
-// Gathers the full dense [k x n] column matrix for the tiny-product naive
-// fallback (same bits: naive_gemm on this buffer reads exactly the
-// elements im2col_lower would have staged).
+// Gathers the dense [k x n] column matrix, row stride round_up(n, kNr)
+// with zero tails, for the tiny-product naive fallback (same bits:
+// naive_gemm on this buffer reads exactly the elements im2col_lower would
+// have staged).
 void gather_dense(const PackSource& ps, int k, int n, float* dst) {
+  ScratchArena& arena = ScratchArena::local();
+  ScratchArena::Frame frame(arena);
+  const RunTable rt = build_run_table(ps, 0, n, kNr, arena);
+  const std::size_t ld = static_cast<std::size_t>(round_up(n, kNr));
   PatchTap t = patch_tap(ps, 0);
   for (int p = 0; p < k; ++p, next_tap(ps, t))
-    gather_row(ps, t, ColCursor{0, 0, 0}, n,
-               dst + static_cast<std::size_t>(p) * n);
+    gather_tap_row(ps, rt, t, dst + static_cast<std::size_t>(p) * ld);
 }
 
 // ---- micro-kernels ---------------------------------------------------------
@@ -619,30 +671,29 @@ void pack_b_bf16(const float* b, int ldb, bool trans_b, int pc, int kc,
                      sizeof(bf16_t));
 }
 
-// Implicit twin of pack_b_bf16: gather the panel row in fp32, then one
-// RNE conversion pass. Same bits as staging the column matrix first: full
-// panels run the same bf16_run the staged packer's hot layout runs, edge
-// panels the same scalar bf16_from_f32 loop, and bf16_from_f32(0) == 0 so
-// padding columns match pack_b_bf16's explicit zeros.
+// Implicit twin of pack_b_bf16: gather each tap row of the stripe in
+// fp32, then one RNE conversion pass per panel. Same bits as staging the
+// column matrix first: full panels run the same bf16_run the staged
+// packer's hot layout runs, edge panels the same scalar bf16_from_f32
+// loop with pack_b_bf16's explicit zero padding.
 void pack_b_bf16_implicit(const PackSource& ps, int pc, int kc, int j0,
                           int nw, bf16_t* bp) {
-  // Row-outer with an incremental cursor, like pack_b_implicit.
-  const ColCursor start = col_cursor(ps, j0);
+  ScratchArena& arena = ScratchArena::local();
+  ScratchArena::Frame frame(arena);
+  const RunTable rt = build_run_table(ps, j0, nw, kNr, arena);
+  float* row = arena.alloc_floats(static_cast<std::size_t>(round_up(nw, kNr)));
   PatchTap t = patch_tap(ps, pc);
   for (int kk = 0; kk < kc; ++kk, next_tap(ps, t)) {
-    ColCursor cur = start;
+    gather_tap_row(ps, rt, t, row);
     bf16_t* dst = bp + static_cast<std::size_t>(kk) * kNr;
     for (int jp = 0; jp < nw; jp += kNr) {
       const int nr = std::min(kNr, nw - jp);
-      float tmp[kNr];
-      gather_row(ps, t, cur, nr, tmp);
       if (nr == kNr) {
-        bf16_run(tmp, kNr, dst);
+        bf16_run(row + jp, kNr, dst);
       } else {
         for (int j = 0; j < kNr; ++j)
-          dst[j] = j < nr ? bf16_from_f32(tmp[j]) : bf16_t{0};
+          dst[j] = j < nr ? bf16_from_f32(row[jp + j]) : bf16_t{0};
       }
-      advance(ps, cur, nr);
       dst += static_cast<std::size_t>(kc) * kNr;  // same row, next panel
     }
   }
@@ -1202,54 +1253,47 @@ void pack_b_int8(const std::int8_t* st, bool trans_b, int k, int n, int j0,
 }
 
 // Implicit twin of the activation stage-then-pack (weights_in_a == true):
-// gather each k row in fp32, quantize under the per-tensor scale with the
-// same backend-independent quantize_run stage_b_int8 uses, and interleave
-// k quads with the +128 bias on in-range bytes. In-image padding zeros
-// quantize to 0 and flip to 0x80 exactly like staged column-matrix zeros;
-// panel padding (columns past nw, k rows past k) stays raw 0 so it meets
-// the weight operand's zero padding — byte-identical panels, and the
-// dense fp32 column matrix plus its int8 staging copy never exist.
+// gather each k row of the stripe in fp32, quantize it per panel under the
+// per-tensor scale with the same backend-independent quantize_run
+// stage_b_int8 uses, and interleave k quads with the +128 bias on in-range
+// bytes. In-image padding zeros quantize to 0 and flip to 0x80 exactly
+// like staged column-matrix zeros; panel padding (columns past nw, k rows
+// past k) stays raw 0 so it meets the weight operand's zero padding —
+// byte-identical panels, and the dense fp32 column matrix plus its int8
+// staging copy never exist.
 void pack_b_int8_implicit(const PackSource& ps, int k, int j0, int nw,
                           float inv, std::int8_t* bp) {
   const int kpad = round_up(k, 4);
-  // Quad-outer with an incremental cursor, like pack_b_implicit: one tap
-  // walk per k row, one cursor divide per call.
-  const ColCursor start = col_cursor(ps, j0);
+  const std::size_t nw_pad = static_cast<std::size_t>(round_up(nw, kNr));
+  ScratchArena& arena = ScratchArena::local();
+  ScratchArena::Frame frame(arena);
+  const RunTable rt = build_run_table(ps, j0, nw, kNr, arena);
+  float* rows = arena.alloc_floats(4 * nw_pad);  // one quad of k rows
   PatchTap tap = patch_tap(ps, 0);
   for (int kq = 0; kq < kpad / 4; ++kq) {
-    PatchTap taps[4];
-    for (int t = 0; t < 4; ++t) {
-      taps[t] = tap;
-      if (4 * kq + t < k - 1) next_tap(ps, tap);
-    }
-    ColCursor cur = start;
+    const int quad_rows = std::min(4, k - 4 * kq);
+    for (int t = 0; t < quad_rows; ++t, next_tap(ps, tap))
+      gather_tap_row(ps, rt, tap, rows + t * nw_pad);
     std::int8_t* dst = bp + static_cast<std::size_t>(kq) * kNr * 4;
     for (int jp = 0; jp < nw; jp += kNr) {
       const int nr = std::min(kNr, nw - jp);
       std::int8_t q[4][kNr];
-      for (int t = 0; t < 4; ++t) {
-        const int kk = 4 * kq + t;
-        if (kk >= k) continue;
-        float tmp[kNr];
-        gather_row(ps, taps[t], cur, nr, tmp);
-        quantize_run(tmp, static_cast<std::size_t>(nr), inv, q[t]);
-      }
-      if (nr == kNr && 4 * kq + 3 < k) {
+      for (int t = 0; t < quad_rows; ++t)
+        quantize_run(rows + t * nw_pad + jp, static_cast<std::size_t>(nr),
+                     inv, q[t]);
+      if (nr == kNr && quad_rows == 4) {
         // Full panel, all four k rows in range: every byte takes the
         // +128 bias, so the staged packer's SIMD transpose applies as-is.
         interleave_quad(q[0], q[1], q[2], q[3], 0x80u, dst);
       } else {
         for (int j = 0; j < kNr; ++j)
-          for (int t = 0; t < 4; ++t) {
-            const int kk = 4 * kq + t;
+          for (int t = 0; t < 4; ++t)
             dst[j * 4 + t] =
-                (j < nr && kk < k)
+                (j < nr && t < quad_rows)
                     ? static_cast<std::int8_t>(
                           static_cast<std::uint8_t>(q[t][j]) ^ 0x80u)
                     : std::int8_t{0};
-          }
       }
-      advance(ps, cur, nr);
       dst += static_cast<std::size_t>(kpad) * kNr;  // same quad, next panel
     }
   }
@@ -1648,10 +1692,12 @@ void gemm(int m, int n, int k, const float* a, int lda, bool trans_a,
       // the naive path stays bit-exact with or without b_pack.
       ScratchArena& arena = ScratchArena::local();
       ScratchArena::Frame frame(arena);
-      float* bbuf = arena.alloc_floats(static_cast<std::size_t>(k) * n);
+      const int ldb_dense = round_up(n, kNr);
+      float* bbuf =
+          arena.alloc_floats(static_cast<std::size_t>(k) * ldb_dense);
       gather_dense(*extra.b_pack, k, n, bbuf);
-      naive_gemm(m, n, k, a, lda, trans_a, bbuf, n, /*trans_b=*/false, c,
-                 ldc, accumulate);
+      naive_gemm(m, n, k, a, lda, trans_a, bbuf, ldb_dense,
+                 /*trans_b=*/false, c, ldc, accumulate);
     } else {
       naive_gemm(m, n, k, a, lda, trans_a, b, ldb, trans_b, c, ldc,
                  accumulate);

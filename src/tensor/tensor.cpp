@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <ostream>
 
@@ -25,6 +26,25 @@ std::size_t shape_numel(const std::vector<int>& shape) {
 
 Tensor::Tensor(std::vector<int> shape)
     : shape_(std::move(shape)), data_(shape_numel(shape_), 0.f) {}
+
+Tensor::Tensor(const Tensor& other) : shape_(other.shape_) {
+  data_.resize(other.data_.size());
+  if (!data_.empty())
+    std::memcpy(data_.data(), other.data_.data(),
+                data_.size() * sizeof(float));
+}
+
+Tensor& Tensor::operator=(const Tensor& other) {
+  if (this == &other) return *this;
+  shape_ = other.shape_;
+  // clear() first, so a growing resize does not move the old elements.
+  data_.clear();
+  data_.resize(other.data_.size());
+  if (!data_.empty())
+    std::memcpy(data_.data(), other.data_.data(),
+                data_.size() * sizeof(float));
+  return *this;
+}
 
 Tensor Tensor::uninitialized(std::vector<int> shape) {
   Tensor t;

@@ -23,8 +23,8 @@ namespace advp {
 namespace detail {
 /// std::allocator whose value-less construct leaves the element
 /// default-initialized (for float: unwritten). Lets Tensor::uninitialized
-/// size its storage without a zero-fill; every construction from a value
-/// (the zero-filling constructor, copies) still writes each element.
+/// and Tensor's copies size their storage without a zero-fill; the
+/// zero-filling constructor still writes each element.
 template <typename T>
 struct DefaultInitAllocator : std::allocator<T> {
   template <typename U>
@@ -49,6 +49,11 @@ class Tensor {
   explicit Tensor(std::vector<int> shape);
   Tensor(std::initializer_list<int> shape)
       : Tensor(std::vector<int>(shape)) {}
+  /// Copies are one allocation plus one memcpy of the elements.
+  Tensor(const Tensor& other);
+  Tensor& operator=(const Tensor& other);
+  Tensor(Tensor&&) noexcept = default;
+  Tensor& operator=(Tensor&&) noexcept = default;
 
   // ---- factories -------------------------------------------------------
   static Tensor zeros(std::vector<int> shape) { return Tensor(std::move(shape)); }

@@ -76,11 +76,21 @@ std::vector<float> stage_cols(const Tensor& x, const Conv2dSpec& s) {
 // a gemm() fed a PackSource must produce the same bits as the same gemm()
 // fed the staged column matrix.
 TEST(ImplicitGemmPack, BitIdenticalToStagedAcrossGeometriesTiersWorkers) {
+  // The gather's run table splits columns at output-row and kNr-panel
+  // boundaries, so the geometries cover out_w below, at and above one
+  // panel (kNr is 32 on AVX-512 builds, 16 elsewhere), a second Kc panel
+  // that starts mid-kernel (k = 288 > kKc = 256), and TinyYolo's 1x1 head.
   const Geo geos[] = {
       {5, 16, 16, 3, 1, 1, 3, "k3s1p1"},
       {5, 17, 13, 3, 2, 1, 2, "k3s2p1 non-square"},
       {5, 12, 20, 1, 1, 0, 3, "k1s1p0"},
       {4, 9, 9, 5, 2, 2, 2, "k5s2p2"},
+      {3, 5, 32, 3, 1, 1, 2, "k3s1p1 out_w 32 (run fills a panel)"},
+      {3, 6, 48, 3, 1, 1, 2, "k3s1p1 out_w 48 (rows split across panels)"},
+      {2, 4, 96, 3, 1, 1, 2, "k3s1p1 out_w 96 (panels hold row pieces)"},
+      {32, 12, 12, 3, 1, 1, 2, "k3s1p1 c_in 32 (Kc panel starts mid-kernel)"},
+      {4, 11, 14, 5, 1, 2, 2, "k5s1p2"},
+      {64, 6, 6, 1, 1, 0, 1, "k1s1p0 6x6 head"},
   };
   const int m = 24;
   Rng rng(11);
@@ -137,32 +147,41 @@ TEST(ImplicitGemmPack, BitIdenticalToStagedAcrossGeometriesTiersWorkers) {
   }
 }
 
-// Products small enough for the fp32 naive fallback (n < 8) must stay
-// bit-exact too: with a PackSource the fallback gathers the dense column
-// matrix instead of reading a staged one.
+// Products small enough for the fp32 naive fallback (n < 8 or few MACs)
+// must stay bit-exact too: with a PackSource the fallback gathers the
+// dense column matrix instead of reading a staged one.
 TEST(ImplicitGemmPack, NaiveFallbackGathersIdenticalDenseMatrix) {
-  Conv2dSpec spec;
-  spec.in_channels = 2;
-  spec.out_channels = 4;
-  spec.kernel = 3;
-  spec.stride = 1;
-  spec.pad = 1;
+  const Geo geos[] = {
+      {2, 2, 3, 3, 1, 1, 1, "k3s1p1, 6 pixels"},
+      {2, 5, 5, 3, 2, 1, 1, "k3s2p1"},
+      {2, 3, 4, 3, 1, 1, 2, "k3s1p1, two items"},
+  };
+  const int m = 4;
   Rng rng(13);
-  Tensor x = Tensor::rand({1, 2, 2, 3}, rng);  // 6 output pixels -> naive
-  const int patch = 2 * 3 * 3, pixels = 6;
-  const Tensor a = Tensor::rand({4, patch}, rng);
-  const std::vector<float> cols = stage_cols(x, spec);
-  const PackSource ps = pack_source(x, spec);
+  for (const Geo& g : geos) {
+    Conv2dSpec spec;
+    spec.in_channels = g.c_in;
+    spec.out_channels = m;
+    spec.kernel = g.kernel;
+    spec.stride = g.stride;
+    spec.pad = g.pad;
+    const Tensor x = Tensor::rand({g.items, g.c_in, g.h, g.w}, rng);
+    const int patch = g.c_in * g.kernel * g.kernel;
+    const int n = g.items * spec.out_h(g.h) * spec.out_w(g.w);
+    const Tensor a = Tensor::rand({m, patch}, rng);
+    const std::vector<float> cols = stage_cols(x, spec);
+    const PackSource ps = pack_source(x, spec);
 
-  Tensor c_staged({4, pixels});
-  gemm(4, pixels, patch, a.data(), patch, false, cols.data(), pixels, false,
-       c_staged.data(), pixels);
-  GemmExtra extra;
-  extra.b_pack = &ps;
-  Tensor c_implicit({4, pixels});
-  gemm(4, pixels, patch, a.data(), patch, false, nullptr, pixels, false,
-       c_implicit.data(), pixels, /*accumulate=*/false, extra);
-  EXPECT_TRUE(bitwise_equal(c_staged, c_implicit));
+    Tensor c_staged({m, n});
+    gemm(m, n, patch, a.data(), patch, false, cols.data(), n, false,
+         c_staged.data(), n);
+    GemmExtra extra;
+    extra.b_pack = &ps;
+    Tensor c_implicit({m, n});
+    gemm(m, n, patch, a.data(), patch, false, nullptr, n, false,
+         c_implicit.data(), n, /*accumulate=*/false, extra);
+    EXPECT_TRUE(bitwise_equal(c_staged, c_implicit)) << g.name;
+  }
 }
 
 // conv2d_forward (per-item implicit GEMMs, bias in the epilogue, items
