@@ -44,9 +44,11 @@
 //
 // The "conv" section measures the implicit-GEMM convolution (pack_B
 // gathers patches straight from the NCHW image) against a staged
-// reference, im2col_lower plus one gemm() with the same GemmExtra, on the
-// same warm fused footing — `conv_implicit_speedup` must clear 1.15x in
-// CI and `identical` asserts the two agree bit-for-bit.
+// reference, the bench's own im2col plus one gemm() with the same
+// GemmExtra, on the same warm fused footing, and the weight gradient's
+// product (a transposed PackSource) against im2col plus gemm() with
+// trans_b — `conv_implicit_speedup` must clear 1.15x in CI and
+// `identical` asserts the two agree bit-for-bit.
 //
 // The "sigmoid" section times the seed's scalar sigmoid expression on
 // libm's expf against the sigmoid() array kernel (tensor/vmath.h) over a
@@ -112,6 +114,30 @@ void seed_matmul(const float* ap, const float* bp, float* cp, int m, int k,
       if (av == 0.f) continue;
       const float* brow = bp + static_cast<std::size_t>(kk) * n;
       for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+// The staged lowering the conv rows time against: image x [cin, h, w] to
+// its im2col column matrix, row p (tap c, ky, kx) at cols[p*cols_ld ...],
+// zeros outside the image.
+void stage_im2col(const float* x, int cin, int h, int w, const Conv2dSpec& s,
+                  float* cols, std::size_t cols_ld) {
+  const int ho = s.out_h(h), wo = s.out_w(w);
+  for (int p = 0; p < cin * s.kernel * s.kernel; ++p) {
+    const int c = p / (s.kernel * s.kernel);
+    const int ky = (p / s.kernel) % s.kernel;
+    const int kx = p % s.kernel;
+    float* out_row = cols + static_cast<std::size_t>(p) * cols_ld;
+    for (int oy = 0; oy < ho; ++oy) {
+      const int iy = oy * s.stride + ky - s.pad;
+      for (int ox = 0; ox < wo; ++ox) {
+        const int ix = ox * s.stride + kx - s.pad;
+        float v = 0.f;
+        if (iy >= 0 && iy < h && ix >= 0 && ix < w)
+          v = x[(static_cast<std::size_t>(c) * h + iy) * w + ix];
+        out_row[oy * wo + ox] = v;
+      }
     }
   }
 }
@@ -474,7 +500,7 @@ int main() {
   // ---- implicit-GEMM convolution -------------------------------------------
   // The conv forward's per-item loop (conv2d_forward_into: pack_B gathers
   // patches straight from the NCHW image) versus a staged reference that
-  // lowers the batch into one wide column matrix with im2col_lower, runs
+  // lowers the batch into one wide column matrix with stage_im2col, runs
   // one gemm() with the same GemmExtra (weight slot, tier, scale,
   // bias+ReLU epilogue) and copies the items out. Both warm and
   // single-threaded with their own weight-cache slot, on every precision
@@ -538,7 +564,7 @@ int main() {
       std::vector<float> ybuf(static_cast<std::size_t>(cc.cout) * wide);
       auto staged = [&] {
         for (int i = 0; i < cc.batch; ++i)
-          im2col_lower(x.data() + i * x_stride, cc.cin, cc.h, cc.w, spec,
+          stage_im2col(x.data() + i * x_stride, cc.cin, cc.h, cc.w, spec,
                        cols.data() + i * pixels, wide);
         GemmExtra e = extra;
         e.a_cache = &slot_staged;
@@ -579,9 +605,81 @@ int main() {
           "\"staged_ms\": %.4f, \"implicit_ms\": %.4f, "
           "\"conv_implicit_speedup\": %.2f, \"identical\": %s}%s\n",
           cc.name, cc.batch, cc.cin, cc.cout, cc.h, cc.kernel, cc.stride,
-          staged_ms, impl_ms, speedup, identical ? "true" : "false",
-          ci + 1 < cases.size() ? "," : "");
+          staged_ms, impl_ms, speedup, identical ? "true" : "false", ",");
       run.manifest().set(std::string(cc.name) + "_implicit_speedup", speedup);
+    }
+    // The weight gradient's product for one item, dW = dY * cols^T
+    // [Cout x taps]: gemm() through a transposed PackSource (the packer
+    // gathers cols^T straight from x) against stage_im2col plus gemm()
+    // with trans_b, both single-threaded.
+    struct DwCase {
+      const char* name;
+      int cin, cout, h, w;
+    };
+    const std::vector<DwCase> dw_cases = {
+        {"conv_dw_dist1_k3s1", 3, 12, 48, 96},
+        {"conv_dw_yolo2_k3s1", 16, 32, 24, 24},
+    };
+    for (std::size_t ci = 0; ci < dw_cases.size(); ++ci) {
+      const DwCase& dc = dw_cases[ci];
+      Conv2dSpec spec;
+      spec.in_channels = dc.cin;
+      spec.out_channels = dc.cout;
+      Rng xr(920 + static_cast<std::uint64_t>(ci));
+      const Tensor x = Tensor::randn({1, dc.cin, dc.h, dc.w}, xr);
+      const int ho = spec.out_h(dc.h), wo = spec.out_w(dc.w);
+      const int pixels = ho * wo;
+      const int taps = dc.cin * spec.kernel * spec.kernel;
+      const Tensor dy = Tensor::randn({dc.cout, pixels}, xr);
+      const double macs = static_cast<double>(dc.cout) * taps * pixels;
+      const int reps = std::clamp(static_cast<int>(2e8 / macs), 5, 60);
+      PackSource ps;
+      ps.base = x.data();
+      ps.c_in = dc.cin;
+      ps.h = dc.h;
+      ps.w = dc.w;
+      ps.kernel = spec.kernel;
+      ps.stride = spec.stride;
+      ps.pad = spec.pad;
+      ps.out_h = ho;
+      ps.out_w = wo;
+      ps.transposed = true;
+      std::vector<float> cols(static_cast<std::size_t>(taps) * pixels);
+      Tensor dw_staged({dc.cout, taps}), dw_impl({dc.cout, taps});
+      auto staged = [&] {
+        stage_im2col(x.data(), dc.cin, dc.h, dc.w, spec, cols.data(),
+                     static_cast<std::size_t>(pixels));
+        gemm(dc.cout, taps, pixels, dy.data(), pixels, /*trans_a=*/false,
+             cols.data(), pixels, /*trans_b=*/true, dw_staged.data(), taps);
+      };
+      auto implicit = [&] {
+        GemmExtra e;
+        e.b_pack = &ps;
+        gemm(dc.cout, taps, pixels, dy.data(), pixels, /*trans_a=*/false,
+             /*b=*/nullptr, taps, /*trans_b=*/false, dw_impl.data(), taps,
+             /*accumulate=*/false, e);
+      };
+      double staged_ms, impl_ms;
+      {
+        ScopedMaxWorkers one(1);
+        staged();  // warm
+        staged_ms = best_ms(reps, staged);
+        implicit();  // warm
+        impl_ms = best_ms(reps, implicit);
+      }
+      const bool identical =
+          std::memcmp(dw_staged.data(), dw_impl.data(),
+                      dw_impl.numel() * sizeof(float)) == 0;
+      const double speedup = staged_ms / impl_ms;
+      std::printf(
+          "    {\"name\": \"%s\", \"batch\": 1, \"cin\": %d, \"cout\": %d, "
+          "\"h\": %d, \"w\": %d, \"kernel\": %d, \"stride\": %d, "
+          "\"staged_ms\": %.4f, \"implicit_ms\": %.4f, "
+          "\"conv_implicit_speedup\": %.2f, \"identical\": %s}%s\n",
+          dc.name, dc.cin, dc.cout, dc.h, dc.w, spec.kernel, spec.stride,
+          staged_ms, impl_ms, speedup, identical ? "true" : "false",
+          ci + 1 < dw_cases.size() ? "," : "");
+      run.manifest().set(std::string(dc.name) + "_implicit_speedup", speedup);
     }
   }
   // Seed scalar sigmoid vs the array kernel, single thread, over N(0, 8^2)

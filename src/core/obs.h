@@ -98,7 +98,7 @@ enum class Counter : int {
   kCampaignBatchItems,  ///< frames stacked into lockstep batched predicts
   kCampaignCohortRefills,  ///< finished lockstep lanes refilled in place
   kIm2colBytesStaged,   ///< bytes materialized by staged im2col lowering
-                        ///< (the implicit-GEMM conv path keeps this at 0)
+                        ///< (no conv pass stages one, so it reads 0)
   kCount
 };
 

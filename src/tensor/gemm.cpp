@@ -1,6 +1,7 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -156,17 +157,18 @@ void pack_b(const float* b, int ldb, bool trans_b, int pc, int kc, int j0,
 
 // ---- implicit im2col (fused conv lowering) ---------------------------------
 //
-// Staging the column matrix with im2col_lower and then packing it with
-// pack_b moves every activation element through memory twice. The
-// implicit path, the one conv forward, gathers op(B) elements
-// straight out of NCHW image storage inside the packer: row p of op(B)
-// decomposes to a patch tap (c, ky, kx), column j to an output pixel
-// (item, oy, ox), and the value is x[item][c][oy*stride+ky-pad]
-// [ox*stride+kx-pad] with zeros outside the image — exactly the element
-// im2col_lower would have staged at (p, j). Because the packer emits the
-// same element multiset in the same panel order, and nothing downstream
-// of packing changes, the result is bit-identical to gemm() on the staged
-// column matrix on every tier.
+// Staging the im2col column matrix and then packing it with pack_b moves
+// every activation element through memory twice. The implicit path, the
+// one conv lowering, gathers op(B) elements straight out of NCHW image
+// storage inside the packer: row p of op(B) decomposes to a patch tap
+// (c, ky, kx), column j to an output pixel (item, oy, ox), and the value
+// is x[item][c][oy*stride+ky-pad][ox*stride+kx-pad] with zeros outside the
+// image — exactly the element a staged lowering holds at (p, j). Because
+// the packer emits the same element multiset in the same panel order, and
+// nothing downstream of packing changes, the result is bit-identical to
+// gemm() on the staged column matrix on every tier. The weight gradient
+// reads the same matrix transposed (PackSource::transposed): its packer
+// gathers tap rows the same way and transposes them into the panels.
 //
 // The gather runs off a run table that each pack call builds once from the
 // conv geometry. A run is a maximal span of the stripe's columns that stays
@@ -348,17 +350,105 @@ void pack_b_implicit(const PackSource& ps, int pc, int kc, int j0, int nw,
                      sizeof(float));
 }
 
-// Gathers the dense [k x n] column matrix, row stride round_up(n, kNr)
-// with zero tails, for the tiny-product naive fallback (same bits:
-// naive_gemm on this buffer reads exactly the elements im2col_lower would
-// have staged).
-void gather_dense(const PackSource& ps, int k, int n, float* dst) {
+#ifdef ADVP_GEMM_AVX512
+// permutex2var indices of transpose stage b for the low (hi false) or high
+// row of a pair: lane c of the low row keeps its own lane when c lacks bit
+// b and takes the high row's lane c - b (index 16 + c - b) when it has it;
+// the high row takes the low row's lane c + b or keeps its own.
+constexpr std::array<std::int32_t, 16> transpose_indices(int b, bool hi) {
+  std::array<std::int32_t, 16> idx{};
+  for (int c = 0; c < 16; ++c)
+    idx[c] = (c & b) ? (hi ? 16 + c : 16 + c - b) : (hi ? c + b : c);
+  return idx;
+}
+
+// Stage B swaps bit B of the row index with bit B of the column index
+// across each row pair (i, i + B).
+template <int B>
+inline void transpose_stage(__m512 (&r)[16]) {
+  static constexpr auto kLo = transpose_indices(B, false);
+  static constexpr auto kHi = transpose_indices(B, true);
+  const __m512i lo = _mm512_loadu_si512(kLo.data());
+  const __m512i hi = _mm512_loadu_si512(kHi.data());
+  for (int g = 0; g < 16; g += 2 * B)
+    for (int i = g; i < g + B; ++i) {
+      const __m512 low = r[i], high = r[i + B];
+      r[i] = _mm512_permutex2var_ps(low, lo, high);
+      r[i + B] = _mm512_permutex2var_ps(low, hi, high);
+    }
+}
+
+// Writes the first `rows` rows of the transpose of the 16x16 block at src
+// (row stride lds) to dst (row stride ldd): dst[c*ldd + r] = src[r*lds + c].
+// After the four stages every element sits at its transposed position.
+inline void transpose16(const float* src, std::size_t lds, float* dst,
+                        std::size_t ldd, int rows) {
+  __m512 r[16];
+  for (int i = 0; i < 16; ++i) r[i] = _mm512_loadu_ps(src + i * lds);
+  transpose_stage<8>(r);
+  transpose_stage<4>(r);
+  transpose_stage<2>(r);
+  transpose_stage<1>(r);
+  for (int c = 0; c < rows; ++c) _mm512_storeu_ps(dst + c * ldd, r[c]);
+}
+#endif
+
+// Transposes a [kNr x ld] tile (one tap per row, pixels along the row)
+// into a kc-row panel: panel[kk*kNr + j] = tile[j*ld + kk] for kk < kc.
+// ld is a multiple of kNr, so the 16x16 blocks never read past a row.
+inline void transpose_tile(const float* tile, std::size_t ld, int kc,
+                           float* panel) {
+#ifdef ADVP_GEMM_AVX512
+  for (int kk = 0; kk < kc; kk += 16)
+    for (int j = 0; j < kNr; j += 16)
+      transpose16(tile + j * ld + kk, ld,
+                  panel + static_cast<std::size_t>(kk) * kNr + j, kNr,
+                  std::min(16, kc - kk));
+#else
+  for (int kk = 0; kk < kc; ++kk)
+    for (int j = 0; j < kNr; ++j)
+      panel[static_cast<std::size_t>(kk) * kNr + j] = tile[j * ld + kk];
+#endif
+}
+
+// Transposed twin of pack_b_implicit: op(B) rows [pc, pc+kc) are output
+// pixels and columns [j0, j0+nw) patch taps. The run table covers the
+// pixel range once; each panel gathers its taps' pixel rows into an L1
+// tile, one tap per row, and transposes the tile into the panel (taps past
+// n are zero rows). Identical panel bytes to pack_b reading the staged
+// column matrix with trans_b.
+void pack_b_transposed(const PackSource& ps, int pc, int kc, int j0, int nw,
+                       float* bp) {
   ScratchArena& arena = ScratchArena::local();
   ScratchArena::Frame frame(arena);
-  const RunTable rt = build_run_table(ps, 0, n, kNr, arena);
-  const std::size_t ld = static_cast<std::size_t>(round_up(n, kNr));
+  const RunTable rt = build_run_table(ps, pc, kc, kNr, arena);
+  const std::size_t ld = static_cast<std::size_t>(round_up(kc, kNr));
+  float* tile = arena.alloc_floats(kNr * ld);
+  PatchTap t = patch_tap(ps, j0);
+  for (int jp = 0; jp < nw; jp += kNr) {
+    const int nr = std::min(kNr, nw - jp);
+    for (int j = 0; j < nr; ++j, next_tap(ps, t))
+      gather_tap_row(ps, rt, t, tile + j * ld);
+    std::fill(tile + nr * ld, tile + kNr * ld, 0.f);
+    transpose_tile(tile, ld, kc,
+                   bp + static_cast<std::size_t>(jp / kNr) * kc * kNr);
+  }
+  ADVP_OBS_COUNT(kGemmPackBytes,
+                 static_cast<std::uint64_t>(kc) * round_up(nw, kNr) *
+                     sizeof(float));
+}
+
+// Gathers the dense [rows x cols] column matrix (taps x pixels), row
+// stride round_up(cols, kNr) with zero tails, for the tiny-product naive
+// fallback (same bits: naive_gemm on this buffer reads exactly the
+// elements a staged lowering holds).
+void gather_dense(const PackSource& ps, int rows, int cols, float* dst) {
+  ScratchArena& arena = ScratchArena::local();
+  ScratchArena::Frame frame(arena);
+  const RunTable rt = build_run_table(ps, 0, cols, kNr, arena);
+  const std::size_t ld = static_cast<std::size_t>(round_up(cols, kNr));
   PatchTap t = patch_tap(ps, 0);
-  for (int p = 0; p < k; ++p, next_tap(ps, t))
+  for (int p = 0; p < rows; ++p, next_tap(ps, t))
     gather_tap_row(ps, rt, t, dst + static_cast<std::size_t>(p) * ld);
 }
 
@@ -1668,10 +1758,17 @@ void gemm(int m, int n, int k, const float* a, int lda, bool trans_a,
   if (const PackSource* ps = extra.b_pack) {
     ADVP_CHECK_MSG(!trans_b, "gemm: b_pack requires trans_b == false");
     ADVP_CHECK_MSG(!extra.b_cache, "gemm: b_pack excludes b_cache");
-    ADVP_CHECK_MSG(k == ps->c_in * ps->kernel * ps->kernel,
-                   "gemm: b_pack patch size does not match k");
-    ADVP_CHECK_MSG(n == ps->items * ps->out_h * ps->out_w,
-                   "gemm: b_pack output pixels do not match n");
+    ADVP_CHECK_MSG((ps->transposed ? n : k) ==
+                       ps->c_in * ps->kernel * ps->kernel,
+                   "gemm: b_pack patch size does not match "
+                       << (ps->transposed ? "n" : "k"));
+    ADVP_CHECK_MSG((ps->transposed ? k : n) ==
+                       ps->items * ps->out_h * ps->out_w,
+                   "gemm: b_pack output pixels do not match "
+                       << (ps->transposed ? "k" : "n"));
+    ADVP_CHECK_MSG(
+        !ps->transposed || extra.precision == GemmPrecision::kFp32,
+        "gemm: a transposed b_pack is fp32 only");
     ADVP_CHECK_MSG(
         extra.precision != GemmPrecision::kInt8 || extra.weights_in_a,
         "gemm: int8 b_pack requires weights_in_a");
@@ -1686,18 +1783,21 @@ void gemm(int m, int n, int k, const float* a, int lda, bool trans_a,
     return;
   }
   if (macs <= kNaiveMacLimit || n < 8) {
-    if (extra.b_pack) {
-      // Tiny products gather the dense column matrix and run the plain
-      // loop — the identical element set the staged caller would pass, so
-      // the naive path stays bit-exact with or without b_pack.
+    if (const PackSource* ps = extra.b_pack) {
+      // Tiny products gather the dense [taps x pixels] column matrix and
+      // run the plain loop on it (transposed for a transposed source) —
+      // the identical element set the staged caller would pass, so the
+      // naive path stays bit-exact with or without b_pack.
       ScratchArena& arena = ScratchArena::local();
       ScratchArena::Frame frame(arena);
-      const int ldb_dense = round_up(n, kNr);
+      const int taps = ps->transposed ? n : k;
+      const int pixels = ps->transposed ? k : n;
+      const int ldb_dense = round_up(pixels, kNr);
       float* bbuf =
-          arena.alloc_floats(static_cast<std::size_t>(k) * ldb_dense);
-      gather_dense(*extra.b_pack, k, n, bbuf);
-      naive_gemm(m, n, k, a, lda, trans_a, bbuf, ldb_dense,
-                 /*trans_b=*/false, c, ldc, accumulate);
+          arena.alloc_floats(static_cast<std::size_t>(taps) * ldb_dense);
+      gather_dense(*ps, taps, pixels, bbuf);
+      naive_gemm(m, n, k, a, lda, trans_a, bbuf, ldb_dense, ps->transposed,
+                 c, ldc, accumulate);
     } else {
       naive_gemm(m, n, k, a, lda, trans_a, b, ldb, trans_b, c, ldc,
                  accumulate);
@@ -1781,7 +1881,9 @@ void gemm(int m, int n, int k, const float* a, int lda, bool trans_a,
         bp = b_cached + static_cast<std::size_t>(npad) * pc +
              static_cast<std::size_t>(j0 / kNr) * kc * kNr;
       } else {
-        if (extra.b_pack)
+        if (extra.b_pack && extra.b_pack->transposed)
+          pack_b_transposed(*extra.b_pack, pc, kc, j0, nw, bp_scratch);
+        else if (extra.b_pack)
           pack_b_implicit(*extra.b_pack, pc, kc, j0, nw, bp_scratch);
         else
           pack_b(b, ldb, trans_b, pc, kc, j0, nw, bp_scratch);

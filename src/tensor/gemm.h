@@ -157,15 +157,15 @@ struct GemmCacheSlot {
 
 /// Implicit-im2col descriptor: the conv geometry gemm() needs to gather
 /// op(B) patch elements straight out of NCHW image storage while packing
-/// B panels, instead of reading a dense [k x n] column matrix a caller
-/// staged with im2col_lower. Element (kk, j) of op(B) decomposes exactly
-/// like the staged lowering: kk -> (c, ky, kx) within the patch, j ->
-/// (item, oy, ox) within the batch of output pixels, value = x[item][c]
+/// B panels, instead of reading a dense [k x n] im2col column matrix a
+/// caller staged. Element (kk, j) of op(B) decomposes exactly like the
+/// staged lowering: kk -> (c, ky, kx) within the patch, j -> (item, oy,
+/// ox) within the batch of output pixels, value = x[item][c]
 /// [oy*stride + ky - pad][ox*stride + kx - pad] (zero outside the image).
 /// Because the packer gathers the same element multiset in the same panel
 /// order, and the k-accumulation order is untouched, results are
-/// bit-identical on every tier to a gemm() fed the column matrix that
-/// im2col_lower stages, which is how the tests check it.
+/// bit-identical on every tier to a gemm() fed the staged column matrix,
+/// which is how the tests check it.
 struct PackSource {
   const float* base = nullptr;  ///< item 0's [c_in, h, w] plane
   std::size_t item_stride = 0;  ///< floats between consecutive items' planes
@@ -176,6 +176,11 @@ struct PackSource {
   int stride = 1;
   int pad = 0;
   int out_h = 0, out_w = 0;  ///< conv output dims (out_h*out_w cols per item)
+  /// op(B) is the transposed column matrix: element (kk, j) is output
+  /// pixel kk of patch tap j, so k counts pixels and n taps — the cols^T
+  /// operand of a conv weight gradient. Bit-identical to a gemm() with
+  /// trans_b reading the staged matrix. fp32 only.
+  bool transposed = false;
 };
 
 /// Optional extensions to a gemm() call.
@@ -197,7 +202,8 @@ struct GemmExtra {
   /// Implicit-im2col source for op(B) (see PackSource). When set, `b` is
   /// ignored (pass nullptr) and the pack step gathers patch elements
   /// straight from the NCHW image. Requires trans_b == false semantics,
-  /// no b_cache, k == c_in*kernel*kernel, n == items*out_h*out_w, and —
+  /// no b_cache, k == c_in*kernel*kernel and n == items*out_h*out_w (the
+  /// other way round for a transposed source, which is fp32 only), and —
   /// for the reduced tiers — weights_in_a. Results are bit-identical to
   /// staging the column matrix first.
   const PackSource* b_pack = nullptr;

@@ -34,36 +34,23 @@ Tensor transpose(const Tensor& a) {
   return t;
 }
 
-// Lowers x [Cin,H,W] to columns: row p of the [Cin*K*K, Ho*Wo] column
-// matrix lands at cols[p*cols_ld ...]. `cols_ld` lets several batch items
-// share one wide matrix (each item owns a disjoint Ho*Wo column block).
-void im2col_lower(const float* x, int c_in, int h, int w,
-                  const Conv2dSpec& s, float* cols, std::size_t cols_ld) {
-  const int ho = s.out_h(h), wo = s.out_w(w);
-  const int patch = c_in * s.kernel * s.kernel;
-  // Staged-lowering traffic. Only the backward runs this function, so
-  // forwards leave the counter at zero.
-  ADVP_OBS_COUNT(kIm2colBytesStaged, static_cast<std::uint64_t>(patch) *
-                                         ho * wo * sizeof(float));
-  for (int p = 0; p < patch; ++p) {
-    const int c = p / (s.kernel * s.kernel);
-    const int ky = (p / s.kernel) % s.kernel;
-    const int kx = p % s.kernel;
-    float* out_row = cols + static_cast<std::size_t>(p) * cols_ld;
-    for (int oy = 0; oy < ho; ++oy) {
-      const int iy = oy * s.stride + ky - s.pad;
-      for (int ox = 0; ox < wo; ++ox) {
-        const int ix = ox * s.stride + kx - s.pad;
-        float v = 0.f;
-        if (iy >= 0 && iy < h && ix >= 0 && ix < w)
-          v = x[(static_cast<std::size_t>(c) * h + iy) * w + ix];
-        out_row[oy * wo + ox] = v;
-      }
-    }
-  }
-}
-
 namespace {
+
+// The implicit-im2col source for item 0 of x [n, c_in, h, w] under spec
+// (set base per item).
+PackSource conv_pack_source(int c_in, int h, int w, const Conv2dSpec& spec) {
+  PackSource ps;
+  ps.item_stride = static_cast<std::size_t>(c_in) * h * w;
+  ps.c_in = c_in;
+  ps.h = h;
+  ps.w = w;
+  ps.kernel = spec.kernel;
+  ps.stride = spec.stride;
+  ps.pad = spec.pad;
+  ps.out_h = spec.out_h(h);
+  ps.out_w = spec.out_w(w);
+  return ps;
+}
 
 // [lo, hi): the output positions o in [0, n_out) whose tap lands inside
 // [0, n_in), i.e. 0 <= o*stride + off < n_in, with off = k - pad.
@@ -118,16 +105,7 @@ void conv2d_forward_into(const float* x, int n, int c_in, int h, int w,
   // One MAC per (item, out-channel, patch entry, output pixel); the GEMMs
   // below also land in matmul_flops (documented overlap).
   ADVP_OBS_COUNT(kConv2dFlops, 2ull * n * y_stride * patch);
-  PackSource ps;
-  ps.item_stride = x_stride;
-  ps.c_in = c_in;
-  ps.h = h;
-  ps.w = w;
-  ps.kernel = spec.kernel;
-  ps.stride = spec.stride;
-  ps.pad = spec.pad;
-  ps.out_h = ho;
-  ps.out_w = wo;
+  const PackSource ps = conv_pack_source(c_in, h, w, spec);
   // Each item's GEMM gathers its patches straight from x inside the panel
   // packer and writes through the epilogue directly into y: no column
   // matrix, no staging buffer, no scatter pass.
@@ -177,6 +155,19 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
 
 namespace {
 
+// out[g] = the sum of row g of `rows` (G rows of `pixels` floats), one
+// double chain per row in ascending order. The G chains are interleaved
+// so their adds overlap; each chain's order, and so its bits, is that of
+// a plain per-row loop.
+template <int G>
+void row_sums(const float* rows, int pixels, float* out) {
+  double acc[G] = {};
+  for (int j = 0; j < pixels; ++j)
+    for (int g = 0; g < G; ++g)
+      acc[g] += rows[static_cast<std::size_t>(g) * pixels + j];
+  for (int g = 0; g < G; ++g) out[g] = static_cast<float>(acc[g]);
+}
+
 // Shared body of conv2d_backward and conv2d_backward_input. dX always; dW
 // and db only when `x` is given (then `dw`/`db` receive them).
 Tensor conv_backward(const std::vector<int>& x_shape, const Tensor* x,
@@ -202,16 +193,24 @@ Tensor conv_backward(const std::vector<int>& x_shape, const Tensor* x,
   // per item.
   ADVP_OBS_COUNT(kConv2dFlops,
                  (param_grads ? 4ull : 2ull) * n * y_stride * patch);
-  // Per-item weight/bias partials computed in parallel (dx planes are
-  // disjoint), then reduced on the caller in index order — the same
-  // accumulation order as a plain serial loop, so gradients are
-  // bit-identical for any worker count. The transposed operands (cols^T
-  // for dW, W^T for dcols) are handled by the GEMM packing layer, and the
-  // per-item column/dcols buffers come from the worker's scratch arena —
-  // the steady-state loop performs no heap allocations beyond the
-  // returned gradient tensors.
-  std::vector<Tensor> dw_part(param_grads ? static_cast<std::size_t>(n) : 0);
-  std::vector<Tensor> db_part(param_grads ? static_cast<std::size_t>(n) : 0);
+  // Per-item weight/bias partials are computed in parallel (dx planes are
+  // disjoint) into one buffer in the caller's scratch arena, then reduced
+  // on the caller in index order — the same accumulation order as a plain
+  // serial loop, so gradients are bit-identical for any worker count. The
+  // transposed operands (cols^T for dW, gathered straight from x through a
+  // transposed PackSource; W^T for dcols) are handled by the GEMM packing
+  // layer, and the per-item dcols buffers come from the worker's scratch
+  // arena — the steady-state loop performs no heap allocations beyond dx
+  // and the returned gradient tensors.
+  const int cout = spec.out_channels;
+  const std::size_t part_floats =
+      static_cast<std::size_t>(cout) * patch + cout;  // dW_i, then db_i
+  ScratchArena& caller_arena = ScratchArena::local();
+  ScratchArena::Frame parts_frame(caller_arena);
+  float* parts = param_grads ? caller_arena.alloc_floats(n * part_floats)
+                             : nullptr;
+  PackSource cols_t = conv_pack_source(c_in, h, wd, spec);
+  cols_t.transposed = true;
   // The dX product reads the same transposed weights for every item; its
   // packing is reusable across items and calls through `wt_cache`. Cache
   // slots are single-owner, so the slot is only handed down when the item
@@ -225,30 +224,29 @@ Tensor conv_backward(const std::vector<int>& x_shape, const Tensor* x,
     ScratchArena& arena = ScratchArena::local();
     ScratchArena::Frame frame(arena);
     if (param_grads) {
-      Tensor dbi({spec.out_channels});
-      for (int oc = 0; oc < spec.out_channels; ++oc) {
-        const float* row = dyp + static_cast<std::size_t>(oc) * pixels;
-        double s = 0.0;
-        for (int j = 0; j < pixels; ++j) s += row[j];
-        dbi[static_cast<std::size_t>(oc)] = static_cast<float>(s);
-      }
-      db_part[i] = std::move(dbi);
-      float* cols =
-          arena.alloc_floats(static_cast<std::size_t>(patch) * pixels);
-      im2col_lower(x->data() + i * x_stride, c_in, h, wd, spec, cols,
-                   pixels);
+      float* dwi = parts + i * part_floats;
+      float* dbi = dwi + static_cast<std::size_t>(cout) * patch;
+      int oc = 0;
+      for (; oc + 4 <= cout; oc += 4)
+        row_sums<4>(dyp + static_cast<std::size_t>(oc) * pixels, pixels,
+                    dbi + oc);
+      for (; oc < cout; ++oc)
+        row_sums<1>(dyp + static_cast<std::size_t>(oc) * pixels, pixels,
+                    dbi + oc);
       // dW_i = dY_i * cols_i^T  [Cout, patch]
-      Tensor dwi = Tensor::uninitialized({spec.out_channels, patch});
-      gemm(spec.out_channels, patch, pixels, dyp, pixels, /*trans_a=*/false,
-           cols, pixels, /*trans_b=*/true, dwi.data(), patch);
-      dw_part[i] = std::move(dwi);
+      PackSource item_cols_t = cols_t;
+      item_cols_t.base = x->data() + i * x_stride;
+      GemmExtra dw_extra;
+      dw_extra.b_pack = &item_cols_t;
+      gemm(cout, patch, pixels, dyp, pixels, /*trans_a=*/false,
+           /*b=*/nullptr, patch, /*trans_b=*/false, dwi, patch,
+           /*accumulate=*/false, dw_extra);
     }
     // dcols = W^T * dY_i  [patch, Ho*Wo], then scatter back to dx_i
     float* dcols =
         arena.alloc_floats(static_cast<std::size_t>(patch) * pixels);
-    gemm(patch, pixels, spec.out_channels, w.data(), patch, /*trans_a=*/true,
-         dyp, pixels, /*trans_b=*/false, dcols, pixels, /*accumulate=*/false,
-         dx_extra);
+    gemm(patch, pixels, cout, w.data(), patch, /*trans_a=*/true, dyp, pixels,
+         /*trans_b=*/false, dcols, pixels, /*accumulate=*/false, dx_extra);
     col2im(dcols, c_in, h, wd, spec, dx.data() + i * x_stride);
   };
   if (items_parallel)
@@ -256,13 +254,16 @@ Tensor conv_backward(const std::vector<int>& x_shape, const Tensor* x,
   else
     for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) item(i);
   if (param_grads) {
-    Tensor dwmat({spec.out_channels, patch});
-    *db = Tensor({spec.out_channels});
+    *dw = Tensor({cout, c_in, spec.kernel, spec.kernel});
+    *db = Tensor({cout});
+    float* dwp = dw->data();
+    float* dbp = db->data();
+    const std::size_t dw_floats = static_cast<std::size_t>(cout) * patch;
     for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
-      dwmat += dw_part[i];
-      *db += db_part[i];
+      const float* dwi = parts + i * part_floats;
+      for (std::size_t e = 0; e < dw_floats; ++e) dwp[e] += dwi[e];
+      for (int oc = 0; oc < cout; ++oc) dbp[oc] += dwi[dw_floats + oc];
     }
-    *dw = dwmat.reshape({spec.out_channels, c_in, spec.kernel, spec.kernel});
   }
   return dx;
 }

@@ -56,28 +56,23 @@ void conv2d_forward_into(const float* x, int n, int c_in, int h, int w,
                          const float* weights, const Conv2dSpec& spec,
                          float* y, const GemmExtra& extra);
 
-/// Lowers one image x [Cin,H,W] to its im2col column matrix: row p of the
-/// [Cin*K*K, Ho*Wo] matrix lands at cols[p*cols_ld ...]. The backward's
-/// lowering for the dW GEMM. gemm() on these columns is also the
-/// reference the implicit forward must match bit for bit.
-void im2col_lower(const float* x, int c_in, int h, int w,
-                  const Conv2dSpec& s, float* cols, std::size_t cols_ld);
-
 struct Conv2dGrads {
   Tensor dx;  ///< gradient w.r.t. input, same shape as x
   Tensor dw;  ///< gradient w.r.t. weights
   Tensor db;  ///< gradient w.r.t. bias
 };
 
-/// `wt_cache`, when given, caches the packed transposed-weight operand of
-/// the dX GEMM across calls (only used when the per-item loop runs
-/// serially — the slot is single-owner).
+/// dX through W^T and col2im; dW per item as one GEMM whose cols^T operand
+/// the packer gathers straight from x (a transposed PackSource), summed in
+/// item order. `wt_cache`, when given, caches the packed transposed-weight
+/// operand of the dX GEMM across calls (only used when the per-item loop
+/// runs serially — the slot is single-owner).
 Conv2dGrads conv2d_backward(const Tensor& x, const Tensor& w,
                             const Tensor& dy, const Conv2dSpec& spec,
                             GemmCacheSlot* wt_cache = nullptr);
 
 /// Input gradient only: conv2d_backward(x, ...).dx, bit for bit, from the
-/// input's shape alone — just the dX GEMM and col2im, no im2col of x and
+/// input's shape alone — just the dX GEMM and col2im, no gather of x and
 /// no weight/bias gradients. The backward of an eval-mode forward.
 Tensor conv2d_backward_input(const std::vector<int>& x_shape,
                              const Tensor& w, const Tensor& dy,

@@ -37,8 +37,10 @@ Two sections gate the convolution fast paths:
   bit-identity oracle), both warm and single-threaded. plan_speedup must
   clear PLAN_SPEEDUP_MIN on every committed model.
 - "conv": implicit-GEMM convolution (pack_B gathers patches straight
-  from the NCHW image) vs a staged reference in the bench (im2col_lower
-  plus one gemm with the same GemmExtra), both warm and single-threaded.
+  from the NCHW image) vs a staged reference in the bench (its own
+  im2col plus one gemm with the same GemmExtra), and the weight
+  gradient's product through a transposed PackSource vs im2col plus
+  gemm with trans_b (the conv_dw_* rows), both warm and single-threaded.
   conv_implicit_speedup must clear CONV_IMPLICIT_MIN on every committed
   conv shape, baseline-relative on top.
 

@@ -8,8 +8,10 @@ prints two flat tables of sample counts and shares: by the innermost inline
 frame of each sampled address (the function whose code ran, inlined or not)
 and by the outermost frame (the out-of-line function that contains it).
 The outermost frame is the containing symbol in the object's symbol table;
-the innermost is `addr2line -f -i -C`'s first frame, which needs debug info
-(build with -g, which does not change GCC's code) to differ from it.
+the innermost is `addr2line -f -i -C`'s first frame whose source file is not
+a compiler intrinsic header (`*intrin.h`), so an inlined `_mm512_fmadd_ps`
+counts for the kernel that called it. It needs debug info (build with -g,
+which does not change GCC's code) to differ from the outermost.
 Objects without a symbol table fall back to their nearest dynamic symbol,
 suffixed with the object's name. Samples in a stripped libc are classified
 by code region: every implementation an ifunc resolver can select (the
@@ -129,8 +131,15 @@ def ifunc_regions(obj, syms):
     return sorted(regions.items())
 
 
+def intrinsic_header(location):
+    """True for an addr2line `file:line` inside a compiler intrinsic header
+    (immintrin.h, avx512fintrin.h, ...)."""
+    return os.path.basename(location.split(":", 1)[0]).endswith("intrin.h")
+
+
 def symbolize(obj, vaddrs):
-    """{vaddr: [frame, ...]} innermost first, via addr2line -a -f -i -C."""
+    """{vaddr: [frame, ...]} innermost first, via addr2line -a -f -i -C.
+    Frames inlined from a compiler intrinsic header are left out."""
     if not vaddrs:
         return {}
     text = "\n".join(f"{a:#x}" for a in vaddrs) + "\n"
@@ -146,7 +155,8 @@ def symbolize(obj, vaddrs):
             frames[cur] = []
             i += 1
             continue
-        if cur is not None:
+        location = lines[i + 1] if i + 1 < len(lines) else ""
+        if cur is not None and not intrinsic_header(location):
             frames[cur].append(line)  # function; the next line is file:line
         i += 2
     return frames
