@@ -1,7 +1,7 @@
 // Cold-vs-warm model load: what the `.advp` container's pre-packed panels
 // buy on the first inference after a load.
 //
-// For each tier (fp32 | bf16 | int8) the bench loads the same artifact
+// For each tier (fp32 | int8) the bench loads the same artifact
 // into two fresh models:
 //  - cold: load_advp with adoption off (raw weights + calibration only) —
 //    the first forward packs/quantizes every weight operand lazily;
@@ -177,7 +177,6 @@ int main() {
 
   std::vector<TierReport> tiers;
   tiers.push_back(run_tier(GemmPrecision::kFp32, "fp32", cfg, advp_path, frame));
-  tiers.push_back(run_tier(GemmPrecision::kBf16, "bf16", cfg, advp_path, frame));
   tiers.push_back(run_tier(GemmPrecision::kInt8, "int8", cfg, advp_path, frame));
 
   std::printf("{\"model\": \"tiny_yolo\", \"advp_bytes\": %llu, "

@@ -276,8 +276,6 @@ int main() {
   const BenchCase cases[] = {
       {"yolo_fp32", serve::ModelKind::kDetector, GemmPrecision::kFp32,
        "fp32"},
-      {"yolo_bf16", serve::ModelKind::kDetector, GemmPrecision::kBf16,
-       "bf16"},
       {"yolo_int8", serve::ModelKind::kDetector, GemmPrecision::kInt8,
        "int8"},
       {"dist_fp32", serve::ModelKind::kDistNet, GemmPrecision::kFp32,

@@ -5,8 +5,8 @@
 // attacks; randomization is the best close-range distance defense but
 // *hurts* beyond 40 m (negative errors — it erases sparse far-vehicle
 // pixels); bit depth gives moderate gains; no method wins everywhere.
-// A final subsection re-scores the FGSM row under the reduced-precision
-// inference tiers (fp32 / bf16 / int8 after clean-data calibration): the
+// A final subsection re-scores the FGSM row under both inference tiers
+// (fp32, and int8 after clean-data calibration): the
 // deployment question is whether a quantized perception stack changes the
 // attack picture relative to fp32.
 #include <memory>
@@ -84,8 +84,7 @@ int main() {
   eval::Table qt({"Precision", "Defense", "[0,20]", "[20,40]", "[40,60]",
                   "[60,80]", "mAP50", "Prec.", "Recall"});
   const defenses::MedianBlurDefense blur;
-  for (GemmPrecision tier : {GemmPrecision::kFp32, GemmPrecision::kBf16,
-                             GemmPrecision::kInt8}) {
+  for (GemmPrecision tier : {GemmPrecision::kFp32, GemmPrecision::kInt8}) {
     nn::PrecisionScope scope(tier);
     DriveAttackCache tier_cache = q_cache;
     rescore_clean(harness, dist, tier_cache);
@@ -108,7 +107,7 @@ int main() {
   std::printf("\n=== Table II-Q: FGSM under reduced-precision deployment ===\n");
   qt.print(std::cout);
   std::printf(
-      "shape check: bf16 rows track fp32 closely; int8 shifts means by at "
-      "most a few meters and keeps the defense ordering.\n");
+      "shape check: int8 shifts means by at most a few meters and keeps the "
+      "defense ordering.\n");
   return 0;
 }

@@ -143,7 +143,7 @@ std::vector<ModelArtifact> model_artifacts();
 struct PlanRecord {
   std::string model;        ///< caller label, e.g. "tiny_yolo"
   std::string input_shape;  ///< "NxCxHxW" of the compiled input
-  std::string tier;         ///< "fp32" / "bf16" / "int8"
+  std::string tier;         ///< "fp32" / "int8"
   std::uint64_t arena_bytes = 0;  ///< pre-allocated intermediate bytes
   /// Planned GEMM shapes, "mxkxn" per GEMM, ';'-joined.
   std::string geometry;

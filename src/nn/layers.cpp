@@ -17,11 +17,11 @@ Tensor he_init(std::vector<int> shape, int fan_in, Rng& rng) {
   return Tensor::randn(std::move(shape), rng, sigma);
 }
 
-// Tier for this forward. Non-fp32 is only legal where no backward can
-// follow: eval forwards under an InferenceModeScope (which already skip
-// the backward caches) outside a calibration pass (which must observe
-// fp32 activations). Everything else — training, attack oracles, gradient
-// checks — runs fp32 no matter what scope or ADVP_PRECISION says.
+// Tier for this forward. int8 is only legal where no backward can follow:
+// eval forwards under an InferenceModeScope (which already skip the
+// backward caches) outside a calibration pass (which must observe fp32
+// activations). Everything else — training, attack oracles, gradient
+// checks — runs fp32 no matter what scope says.
 GemmPrecision resolve_precision(bool train) {
   return (!train && InferenceModeScope::active() &&
           !CalibrationScope::active())

@@ -21,12 +21,14 @@ inline thread_local int g_inference_depth = 0;
 }  // namespace detail
 
 /// RAII marker for forward-only inference: while a scope is active on the
-/// calling thread, layers skip their backward caches and Sequential takes
-/// the fused Conv+BN+activation fast path. Entered by the models'
-/// forward-only entry points (TinyYolo::detect / objectness_score,
-/// DistNet::predict) — never around forwards that a backward may follow
-/// (white-box attack oracles backward through eval-mode forwards, so a
-/// bare `train == false` is NOT a safe cache-skip signal).
+/// calling thread, layers skip their backward caches, and the models'
+/// PlanCache may hand out a compiled ExecPlan (the one forward that fuses
+/// BN and the activation into the conv epilogue); Sequential::forward
+/// stays a plain child walk. Entered by the models' forward-only entry
+/// points (TinyYolo::detect / objectness_score, DistNet::predict) — never
+/// around forwards that a backward may follow (white-box attack oracles
+/// backward through eval-mode forwards, so a bare `train == false` is NOT
+/// a safe cache-skip signal).
 class InferenceModeScope {
  public:
   InferenceModeScope() { ++detail::g_inference_depth; }

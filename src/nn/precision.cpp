@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "core/check.h"
 #include "nn/layers.h"
@@ -13,9 +11,9 @@ namespace advp::nn {
 
 namespace {
 
-// 0 = no scope active (fall back to the environment default), otherwise
-// the selected tier + 1. Plain exchange/store keeps nesting correct on the
-// single orchestrating thread that is allowed to enter scopes.
+// 0 = no scope active (fp32), otherwise the selected tier + 1. Plain
+// exchange/store keeps nesting correct on the single orchestrating thread
+// that is allowed to enter scopes.
 std::atomic<int> g_precision_override{0};
 
 // 0 = no ThreadPrecisionScope on this thread, otherwise tier + 1. Checked
@@ -24,19 +22,6 @@ std::atomic<int> g_precision_override{0};
 thread_local int t_precision_override = 0;
 
 thread_local const CalibrationOptions* g_calibration = nullptr;
-
-GemmPrecision env_default() {
-  static const GemmPrecision tier = [] {
-    const char* e = std::getenv("ADVP_PRECISION");
-    if (!e || !*e) return GemmPrecision::kFp32;
-    GemmPrecision p = GemmPrecision::kFp32;
-    ADVP_CHECK_MSG(parse_precision(e, &p),
-                   "ADVP_PRECISION: unknown tier '"
-                       << e << "' (expected fp32, bf16, or int8)");
-    return p;
-  }();
-  return tier;
-}
 
 }  // namespace
 
@@ -52,7 +37,7 @@ GemmPrecision PrecisionScope::active() {
   if (t_precision_override)
     return static_cast<GemmPrecision>(t_precision_override - 1);
   const int v = g_precision_override.load(std::memory_order_relaxed);
-  return v ? static_cast<GemmPrecision>(v - 1) : env_default();
+  return v ? static_cast<GemmPrecision>(v - 1) : GemmPrecision::kFp32;
 }
 
 ThreadPrecisionScope::ThreadPrecisionScope(GemmPrecision p)
@@ -76,20 +61,6 @@ bool CalibrationScope::active() { return g_calibration != nullptr; }
 const CalibrationOptions& CalibrationScope::options() {
   ADVP_CHECK_MSG(g_calibration, "CalibrationScope::options: no active scope");
   return *g_calibration;
-}
-
-bool parse_precision(const char* name, GemmPrecision* out) {
-  if (!name) return false;
-  if (std::strcmp(name, "fp32") == 0) {
-    *out = GemmPrecision::kFp32;
-  } else if (std::strcmp(name, "bf16") == 0) {
-    *out = GemmPrecision::kBf16;
-  } else if (std::strcmp(name, "int8") == 0) {
-    *out = GemmPrecision::kInt8;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 float calibration_range(const float* data, std::size_t n) {

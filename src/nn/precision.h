@@ -1,4 +1,4 @@
-// Reduced-precision inference tier selection and calibration.
+// int8 inference tier selection and calibration.
 //
 // The kernel layer (tensor/gemm.h) executes whatever GemmPrecision a call
 // asks for; this file decides *which* calls ask. Three pieces:
@@ -7,10 +7,10 @@
 //    process-global (one relaxed atomic), not thread-local, so pool
 //    workers spawned inside a scoped region inherit the caller's tier —
 //    enter scopes from the orchestrating thread only, before any fan-out.
-//    With no scope active the tier comes from the ADVP_PRECISION
-//    environment variable (fp32 | bf16 | int8; unset means fp32).
-//  - ThreadPrecisionScope: a thread-local override that wins over both
-//    PrecisionScope and the environment, on the entering thread only.
+//    With no scope active the tier is fp32: code picks int8 only through
+//    a scope, never through the environment.
+//  - ThreadPrecisionScope: a thread-local override that wins over
+//    PrecisionScope, on the entering thread only.
 //    This is the selection mechanism for serving worker threads
 //    (advp::serve), which run tenants at different tiers concurrently —
 //    a process-global scope entered from two workers at once would leak
@@ -23,11 +23,11 @@
 //    int8 per-tensor activation scale (range / 127). Forwards under a
 //    CalibrationScope always run fp32 — ranges describe the full-precision
 //    activation distribution.
-//  - Gradient safety: layers resolve a non-fp32 tier only on
-//    backward-free paths (eval forward under an InferenceModeScope, which
-//    already skips backward caches) — so a scoped low-precision forward
-//    followed by backward() throws, and training/attack oracles always run
-//    fp32 regardless of any scope or environment override.
+//  - Gradient safety: layers resolve int8 only on backward-free paths
+//    (eval forward under an InferenceModeScope, which already skips
+//    backward caches) — so a scoped int8 forward followed by backward()
+//    throws, and training/attack oracles always run fp32 regardless of
+//    any scope.
 #pragma once
 
 #include <cstddef>
@@ -58,9 +58,8 @@ class PrecisionScope {
   PrecisionScope(const PrecisionScope&) = delete;
   PrecisionScope& operator=(const PrecisionScope&) = delete;
 
-  /// Tier the innermost live scope selects, or the ADVP_PRECISION
-  /// environment default (fp32 when unset) with no scope active. A live
-  /// ThreadPrecisionScope on the calling thread wins over both.
+  /// Tier the innermost live scope selects, or fp32 with no scope
+  /// active. A live ThreadPrecisionScope on the calling thread wins.
   static GemmPrecision active();
 
  private:
@@ -69,7 +68,7 @@ class PrecisionScope {
 
 /// RAII tier selection scoped to the *calling thread*: while alive,
 /// PrecisionScope::active() on this thread returns `p` regardless of any
-/// process-global scope or ADVP_PRECISION. Other threads are unaffected.
+/// process-global scope. Other threads are unaffected.
 /// Nests; the destructor restores the previous thread-local selection.
 /// Safe to enter concurrently from any number of threads — this is how
 /// serve worker threads pin each tenant's tier around batched forwards.
@@ -103,11 +102,6 @@ class CalibrationScope {
   CalibrationOptions opts_;
 };
 
-/// @brief Parses a tier name ("fp32" | "bf16" | "int8", as accepted in
-/// ADVP_PRECISION). Returns false (and leaves *out untouched) on anything
-/// else.
-bool parse_precision(const char* name, GemmPrecision* out);
-
 /// @brief Range statistic of |data[0..n)| per the active CalibrationScope's
 /// options: absmax, or the configured percentile. Deterministic (exact
 /// selection, no sampling).
@@ -126,15 +120,15 @@ void calibrate(Sequential& net, const std::vector<Tensor>& batches,
                const CalibrationOptions& opts = {});
 
 /// @brief Clears recorded calibration ranges (recursing through
-/// Sequential). Layers fall back to dynamic per-call absmax activation
-/// scales until recalibrated.
+/// Sequential). Until recalibrated, an int8 forward through a cleared
+/// layer throws advp::CheckError; fp32 forwards are unaffected.
 void reset_calibration(Module& m);
 
 /// @brief True when every Conv2d/Linear reachable from `m` (recursing
-/// through Sequential) carries a recorded calibration range. The serving
-/// registry requires this of int8 tenants: a dynamic (per-call absmax)
-/// activation scale would make a batched forward's int8 results depend on
-/// the other frames in the batch, breaking batched-vs-serial bit-identity.
+/// through Sequential) carries a recorded calibration range — the
+/// condition for an int8 forward not to throw. The serving registry
+/// checks it when an int8 tenant registers, so a missing range fails
+/// there rather than on the tenant's first request.
 bool has_calibration(Module& m);
 
 /// @brief Copies recorded calibration ranges from `src` onto the

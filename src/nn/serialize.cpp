@@ -537,8 +537,9 @@ std::uint64_t save_advp(const std::vector<Module*>& roots,
   }
 
   // Section plan, in table order. For each packable layer with packed
-  // output: fp32 panels, bf16 panels, int8 panels + scales + comp — the
-  // int8 triple adjacent by construction (the emitter relies on it).
+  // output: fp32 panels, then int8 panels + scales + comp — the int8
+  // triple adjacent by construction (the emitter relies on it). Tier 1 is
+  // retired: older files carry its panels and readers skip them.
   std::vector<SectionEntry> sections;
   auto plan = [&](AdvpSection kind, std::uint32_t tier, std::uint32_t layer,
                   std::uint64_t bytes, const PackedWeightSpec* spec) {
@@ -566,8 +567,7 @@ std::uint64_t save_advp(const std::vector<Module*>& roots,
       const std::uint32_t li = static_cast<std::uint32_t>(l);
       const std::uint64_t ch_bytes =
           static_cast<std::uint64_t>(packed_weight_channels(spec)) * 4;
-      for (GemmPrecision tier :
-           {GemmPrecision::kFp32, GemmPrecision::kBf16, GemmPrecision::kInt8})
+      for (GemmPrecision tier : {GemmPrecision::kFp32, GemmPrecision::kInt8})
         plan(AdvpSection::kPackedPanels, static_cast<std::uint32_t>(tier), li,
              packed_weights_bytes(spec, tier), &spec);
       plan(AdvpSection::kQuantScales,
@@ -743,12 +743,12 @@ AdvpLoadResult load_advp(const std::vector<Module*>& roots,
   const bool geometry_ok =
       pf.header.panel_mr == static_cast<std::uint32_t>(gemm_panel_mr()) &&
       pf.header.panel_nr == static_cast<std::uint32_t>(gemm_panel_nr());
+  const GemmPrecision tier =
+      opts.adopt_tier >= 0 ? static_cast<GemmPrecision>(opts.adopt_tier)
+                           : PrecisionScope::active();
   if (opts.adopt_packed && (pf.header.flags & kFlagHasPacked) &&
       geometry_ok && pack_cache_enabled() && !layers.empty() &&
-      opts.adopt_tier <= static_cast<int>(GemmPrecision::kInt8)) {
-    const GemmPrecision tier =
-        opts.adopt_tier >= 0 ? static_cast<GemmPrecision>(opts.adopt_tier)
-                             : PrecisionScope::active();
+      (tier == GemmPrecision::kFp32 || tier == GemmPrecision::kInt8)) {
     const auto tier_u = static_cast<std::uint32_t>(tier);
     // All-or-nothing: validate every layer's sections first.
     struct Plan {

@@ -9,16 +9,17 @@
 // `.advp` container (save_advp/load_advp): a single-file model artifact
 // holding the raw fp32 parameters, the activation calibration ranges, and
 // the weight operands of every Conv2d/Linear **pre-packed in the GEMM
-// panel layout** for all three inference tiers (fp32, bf16, calibrated
-// int8 with per-channel scales and compensation terms). Loading is an
-// mmap (or one read) plus pointer fixup into the layers' GemmCacheSlots:
-// the first forward performs zero weight pack/quantize work, and the
-// mapped pages are read-only and shared across serving processes. The
-// byte-level layout is specified in docs/model_format.md; parsing is
-// strict (magic, version, section bounds, content hash) with clean error
-// returns on truncation or corruption — a failed load never leaves a
-// half-written model behind, because every check runs before the first
-// parameter byte is copied.
+// panel layout** for both inference tiers (fp32, and calibrated int8 with
+// per-channel scales and compensation terms). Files written before the
+// bf16 tier was retired also carry tier-1 panels; readers skip them.
+// Loading is an mmap (or one read) plus pointer fixup into the layers'
+// GemmCacheSlots: the first forward performs zero weight pack/quantize
+// work, and the mapped pages are read-only and shared across serving
+// processes. The byte-level layout is specified in docs/model_format.md;
+// parsing is strict (magic, version, section bounds, content hash) with
+// clean error returns on truncation or corruption — a failed load never
+// leaves a half-written model behind, because every check runs before the
+// first parameter byte is copied.
 //
 // Packed panels are geometry-dependent (the micro-kernel's MR x NR tile
 // is a build property). The file records the writer's geometry; a loader
@@ -96,7 +97,7 @@ const char* advp_status_name(AdvpStatus s);
 
 /// Options for save_advp.
 struct AdvpSaveOptions {
-  /// Write pre-packed panel sections for all three tiers. Off produces a
+  /// Write pre-packed panel sections for both tiers. Off produces a
   /// raw-parameters-plus-calibration file (smaller, always portable, but
   /// loads cold).
   bool include_packed = true;
@@ -114,9 +115,9 @@ struct AdvpLoadOptions {
   /// Adopt the file's pre-packed panels into the layers' cache slots
   /// (when present, geometry-compatible, and the pack cache is enabled).
   bool adopt_packed = true;
-  /// Tier whose panels to adopt: a GemmPrecision cast to int, or negative
-  /// (default) to resolve the ambient tier (PrecisionScope::active()) at
-  /// load time.
+  /// Tier whose panels to adopt: a GemmPrecision cast to int (0 fp32,
+  /// 2 int8; any other id adopts nothing), or negative (default) to
+  /// resolve the ambient tier (PrecisionScope::active()) at load time.
   int adopt_tier = -1;
   /// Map the file with mmap (falling back to a heap read when mapping is
   /// unavailable). Off forces the heap read — mainly for tests.

@@ -75,9 +75,8 @@ void ModelRegistry::add_detector(const std::string& name,
                        nn::has_calibration(t->detector->head()),
                    "ModelRegistry: int8 tenant '"
                        << name
-                       << "' needs calibration (TinyYolo::calibrate) — a "
-                          "dynamic activation scale would break "
-                          "batched-vs-serial bit-identity");
+                       << "' needs calibration (TinyYolo::calibrate): an "
+                          "int8 forward reads recorded activation ranges");
   // Compile the single-frame execution plan now, at the tenant's tier, so
   // the first request pays no compile latency (BatchServer precompiles
   // the batched shapes at startup).
@@ -104,9 +103,8 @@ void ModelRegistry::add_distnet(const std::string& name, models::DistNet& src,
     ADVP_CHECK_MSG(nn::has_calibration(t->distnet->net()),
                    "ModelRegistry: int8 tenant '"
                        << name
-                       << "' needs calibration (DistNet::calibrate) — a "
-                          "dynamic activation scale would break "
-                          "batched-vs-serial bit-identity");
+                       << "' needs calibration (DistNet::calibrate): an "
+                          "int8 forward reads recorded activation ranges");
   {
     nn::ThreadPrecisionScope scope(tier);
     t->distnet->compile_plan(1);

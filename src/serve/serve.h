@@ -1,8 +1,8 @@
 // advp::serve — request router and dynamic batcher over the warm
 // inference fast path.
 //
-// The inference stack (pack-once weight cache, fused epilogues, bf16/int8
-// tiers) serves single frames through TinyYolo::detect and
+// The inference stack (pack-once weight cache, fused epilogues, the int8
+// tier) serves single frames through TinyYolo::detect and
 // DistNet::predict. This layer turns those per-frame calls into a
 // concurrent service: clients submit one frame at a time and get a
 // std::future back; worker threads coalesce queued frames into batched
@@ -14,12 +14,12 @@
 //  - ModelRegistry: a multi-tenant model store. Each tenant is an
 //    independently cloned checkpoint (weights, BatchNorm statistics, and
 //    calibration ranges copied at registration time) pinned at one
-//    precision tier (fp32 | bf16 | int8 via nn::ThreadPrecisionScope).
+//    precision tier (fp32 | int8 via nn::ThreadPrecisionScope).
 //    Tenants never share layer state, so one tenant's calibration or tier
 //    cannot leak into another's results, and each tenant's GemmCacheSlot
 //    pack cache stays warm across requests. int8 tenants must be
-//    calibrated before registration: a dynamic activation scale would
-//    make batched int8 results depend on batch composition.
+//    calibrated before registration: an int8 forward quantizes
+//    activations with the recorded ranges and throws without them.
 //
 //  - BatchServer: the router. Per-tenant FIFO queues, a shared pool of
 //    worker threads, and a batching policy: a tenant's batch fires when

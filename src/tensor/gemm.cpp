@@ -6,7 +6,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 
 #include "core/check.h"
 #include "core/obs.h"
@@ -690,369 +689,6 @@ void micro_edge(MicroFn micro, int kc, const float* ap, const float* bp,
       c[static_cast<std::size_t>(r) * ldc + j] = tile[r * kNr + j];
 }
 
-// ---- bf16 tier -------------------------------------------------------------
-//
-// Identical panel layout and FMA chain to the fp32 path; only the packed
-// storage narrows to bf16 (round-to-nearest-even). Widening back to fp32 is
-// exact (a bf16 value is an fp32 value with a zero low mantissa), so the
-// per-element accumulation is the fp32 kernel's run on rounded inputs —
-// bit-identical across backends, worker counts, and blocking geometry for
-// the same reason the fp32 path is.
-
-using bf16_t = std::uint16_t;
-
-// Vectorized fp32 -> bf16 conversion of a contiguous run. The AVX512-BF16
-// instruction rounds to nearest even, matching bf16_from_f32 exactly for
-// every normal value, so which path runs never changes the packed bits.
-#if defined(ADVP_GEMM_AVX512) && defined(__AVX512BF16__)
-inline void bf16_run(const float* src, int count, bf16_t* dst) {
-  int i = 0;
-  for (; i + 16 <= count; i += 16) {
-    const __m256bh h = _mm512_cvtneps_pbh(_mm512_loadu_ps(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        reinterpret_cast<const __m256i&>(h));
-  }
-  for (; i < count; ++i) dst[i] = bf16_from_f32(src[i]);
-}
-#else
-inline void bf16_run(const float* src, int count, bf16_t* dst) {
-  for (int i = 0; i < count; ++i) dst[i] = bf16_from_f32(src[i]);
-}
-#endif
-
-void pack_a_bf16(const float* a, int lda, bool trans_a, int m, int k,
-                 bf16_t* ap) {
-  for (int ip = 0; ip < m; ip += kMr) {
-    const int mr = std::min(kMr, m - ip);
-    bf16_t* panel = ap + static_cast<std::size_t>(ip / kMr) * kMr * k;
-    for (int kk = 0; kk < k; ++kk) {
-      bf16_t* dst = panel + static_cast<std::size_t>(kk) * kMr;
-      for (int r = 0; r < kMr; ++r)
-        dst[r] = r < mr ? bf16_from_f32(a_at(a, lda, trans_a, ip + r, kk))
-                        : bf16_t{0};
-    }
-  }
-  ADVP_OBS_COUNT(kGemmPackBytes,
-                 static_cast<std::uint64_t>(round_up(m, kMr)) * k *
-                     sizeof(bf16_t));
-}
-
-void pack_b_bf16(const float* b, int ldb, bool trans_b, int pc, int kc,
-                 int j0, int nw, bf16_t* bp) {
-  for (int jp = 0; jp < nw; jp += kNr) {
-    const int nr = std::min(kNr, nw - jp);
-    bf16_t* panel = bp + static_cast<std::size_t>(jp / kNr) * kc * kNr;
-    for (int kk = 0; kk < kc; ++kk) {
-      bf16_t* dst = panel + static_cast<std::size_t>(kk) * kNr;
-      if (!trans_b && nr == kNr) {
-        // Hot layout: the panel row is one contiguous source run.
-        bf16_run(b + static_cast<std::size_t>(pc + kk) * ldb + j0 + jp, kNr,
-                 dst);
-        continue;
-      }
-      for (int j = 0; j < kNr; ++j)
-        dst[j] = j < nr ? bf16_from_f32(
-                              b_at(b, ldb, trans_b, pc + kk, j0 + jp + j))
-                        : bf16_t{0};
-    }
-  }
-  ADVP_OBS_COUNT(kGemmPackBytes,
-                 static_cast<std::uint64_t>(kc) * round_up(nw, kNr) *
-                     sizeof(bf16_t));
-}
-
-// Implicit twin of pack_b_bf16: gather each tap row of the stripe in
-// fp32, then one RNE conversion pass per panel. Same bits as staging the
-// column matrix first: full panels run the same bf16_run the staged
-// packer's hot layout runs, edge panels the same scalar bf16_from_f32
-// loop with pack_b_bf16's explicit zero padding.
-void pack_b_bf16_implicit(const PackSource& ps, int pc, int kc, int j0,
-                          int nw, bf16_t* bp) {
-  ScratchArena& arena = ScratchArena::local();
-  ScratchArena::Frame frame(arena);
-  const RunTable rt = build_run_table(ps, j0, nw, kNr, arena);
-  float* row = arena.alloc_floats(static_cast<std::size_t>(round_up(nw, kNr)));
-  PatchTap t = patch_tap(ps, pc);
-  for (int kk = 0; kk < kc; ++kk, next_tap(ps, t)) {
-    gather_tap_row(ps, rt, t, row);
-    bf16_t* dst = bp + static_cast<std::size_t>(kk) * kNr;
-    for (int jp = 0; jp < nw; jp += kNr) {
-      const int nr = std::min(kNr, nw - jp);
-      if (nr == kNr) {
-        bf16_run(row + jp, kNr, dst);
-      } else {
-        for (int j = 0; j < kNr; ++j)
-          dst[j] = j < nr ? bf16_from_f32(row[jp + j]) : bf16_t{0};
-      }
-      dst += static_cast<std::size_t>(kc) * kNr;  // same row, next panel
-    }
-  }
-  ADVP_OBS_COUNT(kGemmPackBytes,
-                 static_cast<std::uint64_t>(kc) * round_up(nw, kNr) *
-                     sizeof(bf16_t));
-}
-
-void micro_bf16_portable(int kc, const bf16_t* ap, const bf16_t* bp,
-                         float* c, int ldc, bool zero_init) {
-  float acc[kMr][kNr];
-  for (int r = 0; r < kMr; ++r)
-    for (int j = 0; j < kNr; ++j)
-      acc[r][j] = zero_init ? 0.f : c[static_cast<std::size_t>(r) * ldc + j];
-  for (int kk = 0; kk < kc; ++kk) {
-    const bf16_t* brow = bp + static_cast<std::size_t>(kk) * kNr;
-    const bf16_t* arow = ap + static_cast<std::size_t>(kk) * kMr;
-    float bw[kNr];
-    for (int j = 0; j < kNr; ++j) bw[j] = bf16_to_f32(brow[j]);
-    for (int r = 0; r < kMr; ++r) {
-      const float av = bf16_to_f32(arow[r]);
-      for (int j = 0; j < kNr; ++j) acc[r][j] += av * bw[j];
-    }
-  }
-  for (int r = 0; r < kMr; ++r)
-    for (int j = 0; j < kNr; ++j)
-      c[static_cast<std::size_t>(r) * ldc + j] = acc[r][j];
-}
-
-#ifdef ADVP_GEMM_AVX512
-// 16 bf16 values widened to fp32 lanes: zero-extend to 32 bits, shift the
-// payload into the high half. Exact.
-inline __m512 bf16_widen16(const bf16_t* p) {
-  const __m256i h =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  return _mm512_castsi512_ps(
-      _mm512_slli_epi32(_mm512_cvtepu16_epi32(h), 16));
-}
-
-void micro_bf16_avx512(int kc, const bf16_t* ap, const bf16_t* bp, float* c,
-                       int ldc, bool zero_init) {
-  __m512 acc[kMr][2];
-  for (int r = 0; r < kMr; ++r) {
-    if (zero_init) {
-      acc[r][0] = _mm512_setzero_ps();
-      acc[r][1] = _mm512_setzero_ps();
-    } else {
-      acc[r][0] = _mm512_loadu_ps(c + static_cast<std::size_t>(r) * ldc);
-      acc[r][1] =
-          _mm512_loadu_ps(c + static_cast<std::size_t>(r) * ldc + 16);
-    }
-  }
-  for (int kk = 0; kk < kc; ++kk) {
-    const bf16_t* brow = bp + static_cast<std::size_t>(kk) * kNr;
-    const bf16_t* arow = ap + static_cast<std::size_t>(kk) * kMr;
-    const __m512 b0 = bf16_widen16(brow);
-    const __m512 b1 = bf16_widen16(brow + 16);
-    for (int r = 0; r < kMr; ++r) {
-      // Widen-in-register broadcast: shift the bf16 payload into the high
-      // half of each 32-bit lane (exact, same value as bf16_to_f32).
-      const __m512 av = _mm512_castsi512_ps(
-          _mm512_slli_epi32(_mm512_set1_epi32(arow[r]), 16));
-      acc[r][0] = _mm512_fmadd_ps(av, b0, acc[r][0]);
-      acc[r][1] = _mm512_fmadd_ps(av, b1, acc[r][1]);
-    }
-  }
-  for (int r = 0; r < kMr; ++r) {
-    _mm512_storeu_ps(c + static_cast<std::size_t>(r) * ldc, acc[r][0]);
-    _mm512_storeu_ps(c + static_cast<std::size_t>(r) * ldc + 16, acc[r][1]);
-  }
-}
-#endif
-
-#ifdef ADVP_GEMM_AVX2
-inline __m256 bf16_widen8(const bf16_t* p) {
-  const __m128i h = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  return _mm256_castsi256_ps(
-      _mm256_slli_epi32(_mm256_cvtepu16_epi32(h), 16));
-}
-
-void micro_bf16_avx2(int kc, const bf16_t* ap, const bf16_t* bp, float* c,
-                     int ldc, bool zero_init) {
-  __m256 acc[kMr][2];
-  for (int r = 0; r < kMr; ++r) {
-    if (zero_init) {
-      acc[r][0] = _mm256_setzero_ps();
-      acc[r][1] = _mm256_setzero_ps();
-    } else {
-      acc[r][0] = _mm256_loadu_ps(c + static_cast<std::size_t>(r) * ldc);
-      acc[r][1] = _mm256_loadu_ps(c + static_cast<std::size_t>(r) * ldc + 8);
-    }
-  }
-  for (int kk = 0; kk < kc; ++kk) {
-    const bf16_t* brow = bp + static_cast<std::size_t>(kk) * kNr;
-    const bf16_t* arow = ap + static_cast<std::size_t>(kk) * kMr;
-    const __m256 b0 = bf16_widen8(brow);
-    const __m256 b1 = bf16_widen8(brow + 8);
-    for (int r = 0; r < kMr; ++r) {
-      const __m256 av = _mm256_castsi256_ps(
-          _mm256_slli_epi32(_mm256_set1_epi32(arow[r]), 16));
-      acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
-      acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
-    }
-  }
-  for (int r = 0; r < kMr; ++r) {
-    _mm256_storeu_ps(c + static_cast<std::size_t>(r) * ldc, acc[r][0]);
-    _mm256_storeu_ps(c + static_cast<std::size_t>(r) * ldc + 8, acc[r][1]);
-  }
-}
-#endif
-
-using Bf16MicroFn = void (*)(int, const bf16_t*, const bf16_t*, float*, int,
-                             bool);
-
-Bf16MicroFn pick_micro_bf16() {
-#if defined(ADVP_GEMM_AVX512)
-  if (!g_force_portable.load(std::memory_order_relaxed))
-    return micro_bf16_avx512;
-#elif defined(ADVP_GEMM_AVX2)
-  if (!g_force_portable.load(std::memory_order_relaxed))
-    return micro_bf16_avx2;
-#endif
-  return micro_bf16_portable;
-}
-
-void micro_edge_bf16(Bf16MicroFn micro, int kc, const bf16_t* ap,
-                     const bf16_t* bp, float* c, int ldc, bool zero_init,
-                     int mr, int nr) {
-  if (mr == kMr && nr == kNr) {
-    micro(kc, ap, bp, c, ldc, zero_init);
-    return;
-  }
-  float tile[kMr * kNr];
-  if (zero_init) {
-    std::fill(tile, tile + kMr * kNr, 0.f);
-  } else {
-    for (int r = 0; r < kMr; ++r)
-      for (int j = 0; j < kNr; ++j)
-        tile[r * kNr + j] =
-            (r < mr && j < nr) ? c[static_cast<std::size_t>(r) * ldc + j]
-                               : 0.f;
-  }
-  micro(kc, ap, bp, tile, kNr, false);
-  for (int r = 0; r < mr; ++r)
-    for (int j = 0; j < nr; ++j)
-      c[static_cast<std::size_t>(r) * ldc + j] = tile[r * kNr + j];
-}
-
-// bf16 twin of the fp32 gemm() body: same Mc/Kc blocking, same column
-// stripes, same cached-operand layouts (in bf16 elements instead of
-// floats). accumulate is rejected at dispatch, so the first Kc panel
-// always zero-initializes.
-void gemm_bf16(int m, int n, int k, const float* a, int lda, bool trans_a,
-               const float* b, int ldb, bool trans_b, float* c, int ldc,
-               const GemmExtra& extra) {
-  const GemmEpilogue* ep = extra.epilogue;
-  Bf16MicroFn micro = pick_micro_bf16();
-
-  const bool cache_on = pack_cache_enabled();
-  GemmCacheSlot* ac = cache_on ? extra.a_cache : nullptr;
-  GemmCacheSlot* bc = cache_on ? extra.b_cache : nullptr;
-
-  const std::size_t a_elems =
-      static_cast<std::size_t>(round_up(m, kMr)) * k;
-  ScratchArena& main_arena = ScratchArena::local();
-  ScratchArena::Frame a_frame(main_arena);
-  const bf16_t* ap;
-  if (ac) {
-    if (!cache_lookup(ac, a, m, k, lda, trans_a,
-                      floats_for_bytes(a_elems * sizeof(bf16_t)),
-                      GemmPrecision::kBf16))
-      pack_a_bf16(a, lda, trans_a, m, k,
-                  reinterpret_cast<bf16_t*>(ac->packed.data()));
-    ap = reinterpret_cast<const bf16_t*>(ac->panel_data());
-  } else {
-    bf16_t* buf = static_cast<bf16_t*>(
-        main_arena.alloc_bytes(a_elems * sizeof(bf16_t)));
-    pack_a_bf16(a, lda, trans_a, m, k, buf);
-    ap = buf;
-  }
-
-  // Canonical cached-B layout (stripe-independent), as in fp32: the Kc
-  // block starting at row pc begins at element offset npad*pc.
-  const int npad = round_up(n, kNr);
-  const bf16_t* b_cached = nullptr;
-  if (bc) {
-    const std::size_t b_elems = static_cast<std::size_t>(npad) * k;
-    if (!cache_lookup(bc, b, k, n, ldb, trans_b,
-                      floats_for_bytes(b_elems * sizeof(bf16_t)),
-                      GemmPrecision::kBf16)) {
-      bf16_t* base = reinterpret_cast<bf16_t*>(bc->packed.data());
-      for (int pc = 0; pc < k; pc += kKc) {
-        const int kc = std::min(kKc, k - pc);
-        pack_b_bf16(b, ldb, trans_b, pc, kc, 0, n,
-                    base + static_cast<std::size_t>(npad) * pc);
-      }
-    }
-    b_cached = reinterpret_cast<const bf16_t*>(bc->panel_data());
-  }
-
-  const std::size_t macs =
-      static_cast<std::size_t>(m) * n * static_cast<std::size_t>(k);
-  const bool fan_out =
-      macs >= kParallelMacLimit && max_workers() > 1 && !in_parallel_region();
-  int stripe_w = kNc;
-  if (fan_out) {
-    const int per_worker =
-        (n + static_cast<int>(max_workers()) - 1) /
-        static_cast<int>(max_workers());
-    stripe_w = std::clamp(round_up(per_worker, kNr), kNr, kNc);
-  }
-  const std::size_t stripes =
-      (static_cast<std::size_t>(n) + stripe_w - 1) / stripe_w;
-
-  auto run_stripe = [&](std::size_t s) {
-    const int j0 = static_cast<int>(s) * stripe_w;
-    const int nw = std::min(stripe_w, n - j0);
-    const int nw_pad = round_up(nw, kNr);
-    ScratchArena& arena = ScratchArena::local();
-    ScratchArena::Frame frame(arena);
-    bf16_t* bp_scratch =
-        b_cached ? nullptr
-                 : static_cast<bf16_t*>(arena.alloc_bytes(
-                       static_cast<std::size_t>(std::min(kKc, k)) * nw_pad *
-                       sizeof(bf16_t)));
-    for (int pc = 0; pc < k; pc += kKc) {
-      const int kc = std::min(kKc, k - pc);
-      const bf16_t* bp;
-      if (b_cached) {
-        bp = b_cached + static_cast<std::size_t>(npad) * pc +
-             static_cast<std::size_t>(j0 / kNr) * kc * kNr;
-      } else {
-        if (extra.b_pack)
-          pack_b_bf16_implicit(*extra.b_pack, pc, kc, j0, nw, bp_scratch);
-        else
-          pack_b_bf16(b, ldb, trans_b, pc, kc, j0, nw, bp_scratch);
-        bp = bp_scratch;
-      }
-      const bool zero_first = pc == 0;
-      const bool last_panel = pc + kc == k;
-      for (int ic = 0; ic < m; ic += kMc) {
-        const int mc = std::min(kMc, m - ic);
-        for (int jp = 0; jp < nw; jp += kNr) {
-          const bf16_t* bpanel =
-              bp + static_cast<std::size_t>(jp / kNr) * kc * kNr;
-          const int nr = std::min(kNr, nw - jp);
-          for (int ir = 0; ir < mc; ir += kMr) {
-            const int row = ic + ir;
-            const bf16_t* apanel =
-                ap + static_cast<std::size_t>(row / kMr) * kMr * k +
-                static_cast<std::size_t>(pc) * kMr;
-            const int mr = std::min(kMr, m - row);
-            float* cptr = c + static_cast<std::size_t>(row) * ldc + j0 + jp;
-            micro_edge_bf16(micro, kc, apanel, bpanel, cptr, ldc, zero_first,
-                            mr, nr);
-            if (last_panel && ep)
-              apply_epilogue(*ep, cptr, ldc, row, j0 + jp, mr, nr);
-          }
-        }
-      }
-    }
-  };
-
-  if (fan_out && stripes > 1)
-    parallel_for(0, stripes, 1, run_stripe);
-  else
-    for (std::size_t s = 0; s < stripes; ++s) run_stripe(s);
-}
-
 // ---- int8 tier -------------------------------------------------------------
 //
 // Weights are quantized symmetrically per output channel at pack time (the
@@ -1477,7 +1113,7 @@ Int8MicroFn pick_micro_int8(bool a_signed) {
   return a_signed ? micro_int8_portable<true> : micro_int8_portable<false>;
 }
 
-// int8 orchestration. Unlike fp32/bf16 there is no Kc loop: C holds
+// int8 orchestration. Unlike fp32 there is no Kc loop: C holds
 // dequantized floats, so partial integer sums cannot round-trip through it.
 // Panels span the full k range and each tile is accumulated to completion
 // in one micro-kernel call, then dequantized (acc * w_scale[channel] *
@@ -1708,28 +1344,12 @@ void gemm_int8(int m, int n, int k, const float* a, int lda, bool trans_a,
 
 const char* precision_name(GemmPrecision p) {
   switch (p) {
-    case GemmPrecision::kBf16:
-      return "bf16";
     case GemmPrecision::kInt8:
       return "int8";
     case GemmPrecision::kFp32:
       break;
   }
   return "fp32";
-}
-
-std::uint16_t bf16_from_f32(float v) {
-  std::uint32_t u;
-  std::memcpy(&u, &v, sizeof(u));
-  u += 0x7fffu + ((u >> 16) & 1u);
-  return static_cast<std::uint16_t>(u >> 16);
-}
-
-float bf16_to_f32(std::uint16_t h) {
-  const std::uint32_t u = static_cast<std::uint32_t>(h) << 16;
-  float v;
-  std::memcpy(&v, &u, sizeof(v));
-  return v;
 }
 
 void gemm(int m, int n, int k, const float* a, int lda, bool trans_a,
@@ -1774,12 +1394,8 @@ void gemm(int m, int n, int k, const float* a, int lda, bool trans_a,
         "gemm: int8 b_pack requires weights_in_a");
   }
   if (extra.precision != GemmPrecision::kFp32) {
-    ADVP_CHECK_MSG(!accumulate,
-                   "gemm: reduced precision requires accumulate=false");
-    if (extra.precision == GemmPrecision::kBf16)
-      gemm_bf16(m, n, k, a, lda, trans_a, b, ldb, trans_b, c, ldc, extra);
-    else
-      gemm_int8(m, n, k, a, lda, trans_a, b, ldb, trans_b, c, ldc, extra);
+    ADVP_CHECK_MSG(!accumulate, "gemm: int8 requires accumulate=false");
+    gemm_int8(m, n, k, a, lda, trans_a, b, ldb, trans_b, c, ldc, extra);
     return;
   }
   if (macs <= kNaiveMacLimit || n < 8) {
@@ -1964,8 +1580,6 @@ std::size_t packed_weights_bytes(const PackedWeightSpec& spec,
     switch (p) {
       case GemmPrecision::kFp32:
         return rows * spec.d1 * sizeof(float);
-      case GemmPrecision::kBf16:
-        return rows * spec.d1 * sizeof(bf16_t);
       case GemmPrecision::kInt8:
         return rows * static_cast<std::size_t>(round_up(spec.d1, 4));
     }
@@ -1975,8 +1589,6 @@ std::size_t packed_weights_bytes(const PackedWeightSpec& spec,
     switch (p) {
       case GemmPrecision::kFp32:
         return cols * spec.d0 * sizeof(float);
-      case GemmPrecision::kBf16:
-        return cols * spec.d0 * sizeof(bf16_t);
       case GemmPrecision::kInt8:
         return cols * static_cast<std::size_t>(round_up(spec.d0, 4));
     }
@@ -2004,20 +1616,6 @@ void export_packed_weights(const PackedWeightSpec& spec, GemmPrecision p,
         const int kc = std::min(kKc, spec.d0 - pc);
         pack_b(spec.src, spec.ld, spec.trans, pc, kc, 0, spec.d1,
                out + static_cast<std::size_t>(npad) * pc);
-      }
-    }
-    return;
-  }
-  if (p == GemmPrecision::kBf16) {
-    bf16_t* out = static_cast<bf16_t*>(dst);
-    if (spec.is_a) {
-      pack_a_bf16(spec.src, spec.ld, spec.trans, spec.d0, spec.d1, out);
-    } else {
-      const int npad = round_up(spec.d1, kNr);
-      for (int pc = 0; pc < spec.d0; pc += kKc) {
-        const int kc = std::min(kKc, spec.d0 - pc);
-        pack_b_bf16(spec.src, spec.ld, spec.trans, pc, kc, 0, spec.d1,
-                    out + static_cast<std::size_t>(npad) * pc);
       }
     }
     return;

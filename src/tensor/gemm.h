@@ -38,13 +38,7 @@
 //    operation sequence is exactly the unfused one (accumulate, then
 //    bias, then normalize, then activate), so results stay bit-identical.
 //
-// Reduced-precision inference tier (opt-in per call via GemmExtra):
-//  - kBf16: packed panels store bf16 (round-to-nearest-even truncation of
-//    fp32), the micro-kernel widens back to fp32 (exact) and accumulates in
-//    fp32. Halves pack bytes and panel memory traffic; results are
-//    bit-identical across backends and worker counts (same FMA chain as
-//    fp32, just on rounded inputs), but differ from the fp32 tier by the
-//    storage rounding.
+// Quantized inference tier (opt-in per call via GemmExtra):
 //  - kInt8: the weight operand (the one whose GemmCacheSlot the caller
 //    provides; see GemmExtra::weights_in_a) is quantized symmetrically per
 //    output channel at pack time, the activation operand per tensor with
@@ -56,7 +50,7 @@
 //    blocking geometry by construction.
 // Quantized packed panels live in the same generation-counted cache slots
 // as fp32 packs (the slot key includes the precision), so warm inference
-// re-quantizes nothing. Low-precision calls require accumulate == false.
+// re-quantizes nothing. int8 calls require accumulate == false.
 #pragma once
 
 #include <cstddef>
@@ -92,22 +86,16 @@ struct GemmEpilogue {
 };
 
 /// Numeric tier a gemm() call runs at. fp32 is the default and the only
-/// tier usable for gradients; bf16/int8 are inference-only storage/compute
-/// reductions selected per call through GemmExtra (see file header).
+/// tier usable for gradients; int8 is an inference-only quantized tier
+/// selected per call through GemmExtra (see file header). The values are
+/// the `.advp` section-table tier ids; 1 belonged to a retired tier.
 enum class GemmPrecision : int {
   kFp32 = 0,  ///< fp32 storage, fp32 FMA accumulation (bit-exact seed path)
-  kBf16,      ///< bf16 packed panels, fp32 accumulation
-  kInt8,      ///< int8 packed panels, int32 accumulation, fp32 dequant
+  kInt8 = 2,  ///< int8 packed panels, int32 accumulation, fp32 dequant
 };
 
-/// @brief Human-readable tier name: "fp32", "bf16", or "int8".
+/// @brief Human-readable tier name: "fp32" or "int8".
 const char* precision_name(GemmPrecision p);
-
-/// @brief Round-to-nearest-even conversion of an fp32 value to bf16 bits.
-std::uint16_t bf16_from_f32(float v);
-
-/// @brief Exact widening of bf16 bits back to fp32.
-float bf16_to_f32(std::uint16_t h);
 
 /// One cached packed operand. Owned by the caller (typically a layer, so
 /// the slot dies with the weights it shadows — a slot must never outlive
@@ -188,7 +176,7 @@ struct GemmExtra {
   GemmCacheSlot* a_cache = nullptr;  ///< pack-once cache for op(A)
   GemmCacheSlot* b_cache = nullptr;  ///< pack-once cache for op(B)
   const GemmEpilogue* epilogue = nullptr;
-  /// Numeric tier for this call. Non-fp32 tiers require accumulate=false.
+  /// Numeric tier for this call. kInt8 requires accumulate=false.
   GemmPrecision precision = GemmPrecision::kFp32;
   /// kInt8 only: which operand holds the weights (per-output-channel
   /// quantization runs over op(A) rows when true, op(B) columns when
@@ -204,7 +192,7 @@ struct GemmExtra {
   /// straight from the NCHW image. Requires trans_b == false semantics,
   /// no b_cache, k == c_in*kernel*kernel and n == items*out_h*out_w (the
   /// other way round for a transposed source, which is fp32 only), and —
-  /// for the reduced tiers — weights_in_a. Results are bit-identical to
+  /// at kInt8 — weights_in_a. Results are bit-identical to
   /// staging the column matrix first.
   const PackSource* b_pack = nullptr;
 };
@@ -274,7 +262,7 @@ struct PackedWeightSpec {
 
 /// @brief Size in bytes of the canonical packed image for `spec` at tier
 /// `p`: full-k row panels for op(A) (d0 rounded up to MR), per-Kc-block
-/// column panels for fp32/bf16 op(B) (d1 rounded up to NR), full
+/// column panels for fp32 op(B) (d1 rounded up to NR), full
 /// quad-padded k for int8. Matches what a warm GemmCacheSlot holds.
 std::size_t packed_weights_bytes(const PackedWeightSpec& spec,
                                  GemmPrecision p);
@@ -289,7 +277,7 @@ int packed_weight_channels(const PackedWeightSpec& spec);
 /// miss, so an exported image can later be adopted verbatim. For kInt8,
 /// `scales` and `comp` (packed_weight_channels entries each) receive the
 /// per-channel quantization scales and +128-bias compensation terms and
-/// must be non-null; both are ignored for fp32/bf16.
+/// must be non-null; both are ignored for fp32.
 /// @throws advp::CheckError on a null/degenerate spec or missing int8
 ///   scale/comp destinations.
 void export_packed_weights(const PackedWeightSpec& spec, GemmPrecision p,

@@ -1,7 +1,7 @@
 // Implicit-GEMM convolution: the im2col-in-the-packer lowering must be
 // bit-identical to gemm() on a staged column matrix (built here, in the
 // test) across conv geometries (stride > 1, padding, 1x1 kernels,
-// non-square inputs), precision tiers (fp32 / bf16 / calibrated int8), and
+// non-square inputs), precision tiers (fp32 / calibrated int8), and
 // worker counts; the transposed source the weight gradient reads must
 // match gemm() with trans_b on the same matrix; and neither a forward nor
 // a train-mode backward stages any im2col bytes.
@@ -139,7 +139,6 @@ TEST(ImplicitGemmPack, BitIdenticalToStagedAcrossGeometriesTiersWorkers) {
     };
     const Tier tiers[] = {
         {GemmPrecision::kFp32, 0.f, "fp32"},
-        {GemmPrecision::kBf16, 0.f, "bf16"},
         {GemmPrecision::kInt8, absmax_of(x) / 127.f, "int8-calibrated"},
     };
     for (const Tier& tier : tiers) {
@@ -261,7 +260,6 @@ TEST(ImplicitGemmPack, TransposedSourceIsFp32OnlyAndShapeChecked) {
          /*trans_b=*/false, c.data(), taps, /*accumulate=*/false, extra);
   };
   EXPECT_NO_THROW(run(pixels, taps, GemmPrecision::kFp32));
-  EXPECT_THROW(run(pixels, taps, GemmPrecision::kBf16), CheckError);
   EXPECT_THROW(run(pixels, taps, GemmPrecision::kInt8), CheckError);
   EXPECT_THROW(run(pixels - 1, taps, GemmPrecision::kFp32), CheckError);
   EXPECT_THROW(run(pixels, taps - 1, GemmPrecision::kFp32), CheckError);
@@ -282,8 +280,7 @@ TEST(ImplicitConvForward, FusedEagerMatchesStagedOracle) {
   spec.pad = 1;
   const Tensor w = Tensor::rand({8, 3, 3, 3}, rng);
   const Tensor b = Tensor::rand({8}, rng);
-  const GemmPrecision tiers[] = {GemmPrecision::kFp32, GemmPrecision::kBf16,
-                                 GemmPrecision::kInt8};
+  const GemmPrecision tiers[] = {GemmPrecision::kFp32, GemmPrecision::kInt8};
   const int patch = 3 * 3 * 3;
   for (int batch : {1, 3}) {
     Tensor x = Tensor::rand({batch, 3, 20, 20}, rng);

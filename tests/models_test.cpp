@@ -12,7 +12,6 @@
 #include "models/distnet.h"
 #include "models/tiny_yolo.h"
 #include "models/zoo.h"
-#include "nn/precision.h"
 
 namespace advp::models {
 namespace {
@@ -130,10 +129,6 @@ TEST(DistNetTest, PredictInRange) {
 }
 
 TEST(DistNetTest, PredictionGradMatchesNumeric) {
-  // prediction_grad always runs fp32 (gradient paths ignore precision
-  // tiers); pin the numeric differencing to fp32 as well so the check
-  // stays meaningful under an ADVP_PRECISION=bf16/int8 environment.
-  nn::PrecisionScope fp32(GemmPrecision::kFp32);
   Rng rng(6);
   DistNet model(DistNetConfig{}, rng);
   Tensor batch = Tensor::rand({1, 3, 48, 96}, rng);

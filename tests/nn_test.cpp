@@ -17,7 +17,6 @@
 #include "nn/layers.h"
 #include "nn/loss.h"
 #include "nn/optim.h"
-#include "nn/precision.h"
 #include "nn/serialize.h"
 #include "tensor/ops.h"
 
@@ -521,9 +520,6 @@ Sequential make_fusible_stack(Rng& rng) {
 // The scoped walk skips the backward caches and serves warm weight packs;
 // it must give the bits of the plain eval walk.
 TEST(InferenceModeTest, FusedForwardBitIdenticalToPlainEval) {
-  // The plain eval walk always runs fp32: pin the scoped one to fp32 too
-  // so the test also passes under an ADVP_PRECISION=bf16/int8 environment.
-  PrecisionScope fp32(GemmPrecision::kFp32);
   Rng rng(15);
   Sequential net = make_fusible_stack(rng);
   // Push the running BN statistics off their init so the fold is real.
@@ -569,7 +565,6 @@ TEST(InferenceModeTest, ScopedForwardSkipsBackwardCaches) {
 }
 
 TEST(InferenceModeTest, TrainingStepsInvalidatePackedWeights) {
-  PrecisionScope fp32(GemmPrecision::kFp32);  // see FusedForwardBitIdentical
   Rng rng(17);
   Sequential net = make_fusible_stack(rng);
   Tensor x = Tensor::randn({2, 3, 8, 8}, rng, 0.5f);

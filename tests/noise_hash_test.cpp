@@ -23,7 +23,6 @@
 #include "image/draw.h"
 #include "image/proc.h"
 #include "models/distnet.h"
-#include "nn/precision.h"
 #include "sim/campaign.h"
 
 namespace advp {
@@ -136,9 +135,7 @@ TEST(NoiseHashTest, Rp2MatchesRecordedBits) {
 }
 
 TEST(NoiseHashTest, CampaignAggregateMatchesRecordedBits) {
-  // The untrained seed-7 DistNet of CampaignEngineTest, at the fp32 tier
-  // whatever ADVP_PRECISION says (process-global: the runners inherit it).
-  nn::PrecisionScope fp32(GemmPrecision::kFp32);
+  // The untrained seed-7 DistNet of CampaignEngineTest, at the fp32 tier.
   Rng rng(7);
   models::DistNet model(models::DistNetConfig{}, rng);
   Rng crng(8);

@@ -48,8 +48,7 @@ TEST(PlanBitIdentity, TinyYoloAcrossTiersWorkersBatches) {
   Rng rng(7);
   models::TinyYolo model({}, rng);
   model.calibrate(random_batches(2, 2, 3, 48, 48, 70));  // enables int8
-  const GemmPrecision tiers[] = {GemmPrecision::kFp32, GemmPrecision::kBf16,
-                                 GemmPrecision::kInt8};
+  const GemmPrecision tiers[] = {GemmPrecision::kFp32, GemmPrecision::kInt8};
   for (GemmPrecision tier : tiers) {
     for (int batch : {1, 3, 8}) {
       Rng xr(100 + batch);
@@ -88,8 +87,7 @@ TEST(PlanBitIdentity, DistNetPredictAcrossTiersWorkersBatches) {
   Rng rng(8);
   models::DistNet model({}, rng);
   model.calibrate(random_batches(2, 2, 3, 48, 96, 80));
-  const GemmPrecision tiers[] = {GemmPrecision::kFp32, GemmPrecision::kBf16,
-                                 GemmPrecision::kInt8};
+  const GemmPrecision tiers[] = {GemmPrecision::kFp32, GemmPrecision::kInt8};
   for (GemmPrecision tier : tiers) {
     for (int batch : {1, 3, 8}) {
       Rng xr(200 + batch);

@@ -1,10 +1,9 @@
-// Reduced-precision inference tier: calibration plumbing, scope/env
-// selection, bf16/int8 accuracy bounds on the two perception models,
-// quantized-pack cache invalidation, and the fp32-only gradient contract.
+// int8 inference tier: calibration plumbing, scope selection, int8
+// accuracy bounds on the two perception models, quantized-pack cache
+// invalidation, and the fp32-only gradient contract.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <string>
 
 #include "core/check.h"
@@ -29,37 +28,19 @@ std::vector<Tensor> random_batches(int n_batches, int batch, int c, int h,
   return out;
 }
 
-TEST(PrecisionParseTest, AcceptsAllTiersRejectsJunk) {
-  GemmPrecision p = GemmPrecision::kInt8;
-  EXPECT_TRUE(parse_precision("fp32", &p));
-  EXPECT_EQ(p, GemmPrecision::kFp32);
-  EXPECT_TRUE(parse_precision("bf16", &p));
-  EXPECT_EQ(p, GemmPrecision::kBf16);
-  EXPECT_TRUE(parse_precision("int8", &p));
-  EXPECT_EQ(p, GemmPrecision::kInt8);
-  EXPECT_FALSE(parse_precision("fp16", &p));
-  EXPECT_FALSE(parse_precision("", &p));
-  EXPECT_FALSE(parse_precision(nullptr, &p));
-  // Rejections leave the output untouched.
-  EXPECT_EQ(p, GemmPrecision::kInt8);
-}
-
 TEST(PrecisionScopeTest, NestsAndRestores) {
-  // With no scope the tier is the ADVP_PRECISION environment default
-  // (fp32 when unset) — capture it so the test passes under any CI leg.
-  const GemmPrecision base = PrecisionScope::active();
+  // With no scope the tier is fp32.
+  EXPECT_EQ(PrecisionScope::active(), GemmPrecision::kFp32);
   {
-    PrecisionScope outer(GemmPrecision::kBf16);
-    EXPECT_EQ(PrecisionScope::active(), GemmPrecision::kBf16);
+    PrecisionScope outer(GemmPrecision::kInt8);
+    EXPECT_EQ(PrecisionScope::active(), GemmPrecision::kInt8);
     {
-      PrecisionScope inner(GemmPrecision::kInt8);
-      EXPECT_EQ(PrecisionScope::active(), GemmPrecision::kInt8);
+      PrecisionScope inner(GemmPrecision::kFp32);
+      EXPECT_EQ(PrecisionScope::active(), GemmPrecision::kFp32);
     }
-    EXPECT_EQ(PrecisionScope::active(), GemmPrecision::kBf16);
+    EXPECT_EQ(PrecisionScope::active(), GemmPrecision::kInt8);
   }
-  EXPECT_EQ(PrecisionScope::active(), base);
-  const char* env = std::getenv("ADVP_PRECISION");
-  if (!env || !*env) EXPECT_EQ(base, GemmPrecision::kFp32);
+  EXPECT_EQ(PrecisionScope::active(), GemmPrecision::kFp32);
 }
 
 TEST(CalibrationTest, RangeIsAbsmaxOrExactPercentile) {
@@ -118,11 +99,9 @@ TEST(CalibrationTest, CopyCalibrationRidesAlongWithClones) {
   EXPECT_EQ(src.calibration_range(), dst.calibration_range());
 }
 
-// Low-precision tiers must track fp32 closely on real model heads: bf16
-// stores ~8 mantissa bits (relative error ~2^-8 per factor), int8 adds
-// the quantization grid on top. Bounds are loose enough to be stable
-// across backends but would catch scale-plumbing mistakes (which show up
-// as O(1) relative errors).
+// int8 must track fp32 closely on real model heads. Bounds are loose
+// enough to be stable across backends but would catch scale-plumbing
+// mistakes (which show up as O(1) relative errors).
 TEST(QuantAccuracyTest, DistNetTiersTrackFp32) {
   Rng rng(33);
   models::DistNet model(models::DistNetConfig{}, rng);
@@ -130,23 +109,14 @@ TEST(QuantAccuracyTest, DistNetTiersTrackFp32) {
   Rng xrng(34);
   Tensor batch = Tensor::rand({4, 3, 48, 96}, xrng);
 
-  std::vector<float> fp32;
-  {
-    PrecisionScope scope(GemmPrecision::kFp32);  // pin against env tiers
-    fp32 = model.predict(batch);
-  }
-  std::vector<float> bf16, int8;
-  {
-    PrecisionScope scope(GemmPrecision::kBf16);
-    bf16 = model.predict(batch);
-  }
+  const std::vector<float> fp32 = model.predict(batch);
+  std::vector<float> int8;
   {
     PrecisionScope scope(GemmPrecision::kInt8);
     int8 = model.predict(batch);
   }
   for (std::size_t i = 0; i < fp32.size(); ++i) {
-    // predict() clamps to [0, 150] m; tolerances in meters.
-    EXPECT_NEAR(bf16[i], fp32[i], 2.f) << "item " << i;
+    // predict() clamps to [0, 150] m; tolerance in meters.
     EXPECT_NEAR(int8[i], fp32[i], 6.f) << "item " << i;
   }
 }
@@ -159,30 +129,18 @@ TEST(QuantAccuracyTest, TinyYoloTiersTrackFp32) {
   Tensor batch = Tensor::rand({2, 3, 48, 48}, xrng);
 
   InferenceModeScope inference;
-  Tensor fp32;
-  {
-    PrecisionScope scope(GemmPrecision::kFp32);  // pin against env tiers
-    fp32 = model.forward_raw(batch, false);
-  }
-  Tensor bf16, int8;
-  {
-    PrecisionScope scope(GemmPrecision::kBf16);
-    bf16 = model.forward_raw(batch, false);
-  }
+  const Tensor fp32 = model.forward_raw(batch, false);
+  Tensor int8;
   {
     PrecisionScope scope(GemmPrecision::kInt8);
     int8 = model.forward_raw(batch, false);
   }
   const float ref_mag = std::max(1.f, fp32.abs_max());
-  float bf16_err = 0.f, int8_err = 0.f;
-  for (std::size_t i = 0; i < fp32.numel(); ++i) {
-    bf16_err = std::max(bf16_err, std::fabs(bf16[i] - fp32[i]));
+  float int8_err = 0.f;
+  for (std::size_t i = 0; i < fp32.numel(); ++i)
     int8_err = std::max(int8_err, std::fabs(int8[i] - fp32[i]));
-  }
-  EXPECT_LT(bf16_err / ref_mag, 0.05f);
   EXPECT_LT(int8_err / ref_mag, 0.25f);
-  // And the tiers genuinely differ from fp32 (the dispatch is live).
-  EXPECT_GT(bf16_err, 0.f);
+  // And int8 genuinely differs from fp32 (the dispatch is live).
   EXPECT_GT(int8_err, 0.f);
 }
 
@@ -232,8 +190,8 @@ TEST(QuantGradientSafetyTest, LowPrecisionForwardThenBackwardThrows) {
     PrecisionScope scope(GemmPrecision::kInt8);
     net.forward(x, /*train=*/false);
   }
-  // Low-precision tiers only engage on backward-free inference paths, so
-  // no forward cache exists for a backward pass to consume.
+  // int8 only engages on backward-free inference paths, so no forward
+  // cache exists for a backward pass to consume.
   EXPECT_THROW(net.backward(Tensor::ones({1, 4, 6, 6})), CheckError);
 }
 
@@ -328,23 +286,19 @@ TEST(QuantDeterminismTest, TierOutputsWorkerCountInvariant) {
   model.calibrate(random_batches(1, 2, 3, 48, 96, 117));
   Rng xrng(42);
   Tensor x = Tensor::rand({3, 3, 48, 96}, xrng);
-  for (GemmPrecision tier :
-       {GemmPrecision::kBf16, GemmPrecision::kInt8}) {
-    PrecisionScope scope(tier);
-    std::vector<float> p1, p8;
-    {
-      ScopedMaxWorkers workers(1);
-      p1 = model.predict(x);
-    }
-    {
-      ScopedMaxWorkers workers(8);
-      p8 = model.predict(x);
-    }
-    ASSERT_EQ(p1.size(), p8.size());
-    for (std::size_t i = 0; i < p1.size(); ++i)
-      EXPECT_EQ(p1[i], p8[i])
-          << precision_name(tier) << " item " << i;
+  PrecisionScope scope(GemmPrecision::kInt8);
+  std::vector<float> p1, p8;
+  {
+    ScopedMaxWorkers workers(1);
+    p1 = model.predict(x);
   }
+  {
+    ScopedMaxWorkers workers(8);
+    p8 = model.predict(x);
+  }
+  ASSERT_EQ(p1.size(), p8.size());
+  for (std::size_t i = 0; i < p1.size(); ++i)
+    EXPECT_EQ(p1[i], p8[i]) << "int8 item " << i;
 }
 
 }  // namespace

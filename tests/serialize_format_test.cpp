@@ -177,7 +177,7 @@ TEST(AdvpFormat, RoundTripBitIdenticalAcrossTiersAndWorkers) {
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
     ScopedMaxWorkers scope(workers);
     for (const GemmPrecision tier :
-         {GemmPrecision::kFp32, GemmPrecision::kBf16, GemmPrecision::kInt8}) {
+         {GemmPrecision::kFp32, GemmPrecision::kInt8}) {
       Tensor a = eval_forward(src, frame, tier);
       Tensor b = eval_forward(dst, frame, tier);
       expect_bitwise_equal(a, b, "loaded model diverges from source");
@@ -374,7 +374,7 @@ TEST(AdvpAdoption, ExplicitTierSelection) {
   if (!advp::pack_cache_enabled()) GTEST_SKIP() << "pack cache disabled";
 
   for (const GemmPrecision tier :
-       {GemmPrecision::kFp32, GemmPrecision::kBf16, GemmPrecision::kInt8}) {
+       {GemmPrecision::kFp32, GemmPrecision::kInt8}) {
     Rng rng(34);
     models::TinyYolo dst(small_config(), rng);
     nn::AdvpLoadOptions opts;
@@ -521,12 +521,23 @@ TEST(AdvpServe, TenantFromFileMatchesDirectDetect) {
 
 // ---- golden fixture --------------------------------------------------------
 
+int count_panel_sections(const nn::AdvpInfo& info, std::uint32_t tier) {
+  int n = 0;
+  for (const nn::AdvpSectionInfo& s : info.sections)
+    if (s.kind == static_cast<std::uint32_t>(nn::AdvpSection::kPackedPanels) &&
+        s.tier == tier)
+      ++n;
+  return n;
+}
+
 // The committed fixture was written by `advp_model make-golden`. Its
 // parameter payloads come entirely from the library's hand-rolled Rng, so
 // the content hash is a cross-platform constant. The file's *panel*
 // sections carry the writer's MR x NR geometry — a build with different
 // geometry parses the file and falls back to lazy packing, so this test
-// deliberately does NOT assert adoption.
+// deliberately does NOT assert adoption. The fixture predates the bf16
+// tier's retirement: it still lists tier-1 panel sections, which readers
+// skip, so it also pins that older files keep loading.
 TEST(AdvpGolden, CommittedFixtureParsesVerifiesAndForwardsIdentically) {
   const std::string path = std::string(ADVP_GOLDEN_DIR) + "/tiny.advp";
   constexpr std::uint64_t kGoldenHash = 0x809880dc38aad48dULL;
@@ -539,6 +550,7 @@ TEST(AdvpGolden, CommittedFixtureParsesVerifiesAndForwardsIdentically) {
   ASSERT_TRUE(nn::read_advp_info(path, &info).ok());
   EXPECT_EQ(info.version, 1u);
   EXPECT_EQ(info.params.size(), 20u);
+  EXPECT_EQ(count_panel_sections(info, 1), 4);
 
   models::TinyYolo reference = golden_model();
   EXPECT_EQ(nn::param_fingerprint(reference.params()), kGoldenHash)
@@ -549,10 +561,43 @@ TEST(AdvpGolden, CommittedFixtureParsesVerifiesAndForwardsIdentically) {
   ASSERT_TRUE(loaded) << r.error;
   const Tensor frame = test_frame(80);
   for (const GemmPrecision tier :
-       {GemmPrecision::kFp32, GemmPrecision::kBf16, GemmPrecision::kInt8}) {
+       {GemmPrecision::kFp32, GemmPrecision::kInt8}) {
     expect_bitwise_equal(eval_forward(reference, frame, tier),
                          eval_forward(*loaded, frame, tier),
                          "golden fixture forward diverges");
+  }
+}
+
+// The writer stores fp32 and int8 panels only (tier 1 is retired), and a
+// load of its output still adopts either tier's panels.
+TEST(AdvpGolden, ResavedGoldenModelHasNoTier1AndAdoptsBothTiers) {
+  models::TinyYolo reference = golden_model();
+  const std::string path = temp_file("resaved.advp");
+  models::save_detector_advp(reference, path);
+
+  nn::AdvpInfo info;
+  ASSERT_TRUE(nn::read_advp_info(path, &info).ok());
+  for (const nn::AdvpSectionInfo& s : info.sections)
+    EXPECT_NE(s.tier, 1u) << "section kind " << s.kind << ", layer "
+                          << s.layer;
+  EXPECT_EQ(count_panel_sections(info, 0), 4);
+  EXPECT_EQ(count_panel_sections(info, 2), 4);
+  if (!advp::pack_cache_enabled()) GTEST_SKIP() << "pack cache disabled";
+
+  const Tensor frame = test_frame(80);
+  for (const GemmPrecision tier :
+       {GemmPrecision::kFp32, GemmPrecision::kInt8}) {
+    Rng rng(81);
+    models::TinyYolo dst(small_config(), rng);
+    nn::AdvpLoadOptions opts;
+    opts.adopt_tier = static_cast<int>(tier);
+    const auto r = models::load_detector_advp(dst, path, opts);
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_TRUE(r.packed_adopted);
+    EXPECT_EQ(r.adopted_tier, tier);
+    expect_bitwise_equal(eval_forward(reference, frame, tier),
+                         eval_forward(dst, frame, tier),
+                         "resaved golden forward diverges");
   }
 }
 

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -117,11 +118,12 @@ TEST(ModelRegistryTest, RegistersLooksUpAndRejectsDuplicates) {
   Rng rng(11);
   TinyYolo yolo(small_yolo_cfg(), rng);
   DistNet dist(small_dist_cfg(), rng);
+  calibrate_dist(dist, 103);  // an int8 tenant needs recorded ranges
 
   ModelRegistry reg;
   EXPECT_EQ(reg.size(), 0u);
   reg.add_detector("det", yolo, GemmPrecision::kFp32);
-  reg.add_distnet("dist", dist, GemmPrecision::kBf16);
+  reg.add_distnet("dist", dist, GemmPrecision::kInt8);
   EXPECT_EQ(reg.size(), 2u);
   EXPECT_TRUE(reg.has("det"));
   EXPECT_TRUE(reg.has("dist"));
@@ -129,7 +131,7 @@ TEST(ModelRegistryTest, RegistersLooksUpAndRejectsDuplicates) {
   EXPECT_EQ(reg.kind("det"), ModelKind::kDetector);
   EXPECT_EQ(reg.kind("dist"), ModelKind::kDistNet);
   EXPECT_EQ(reg.tier("det"), GemmPrecision::kFp32);
-  EXPECT_EQ(reg.tier("dist"), GemmPrecision::kBf16);
+  EXPECT_EQ(reg.tier("dist"), GemmPrecision::kInt8);
   EXPECT_THROW(reg.add_detector("det", yolo, GemmPrecision::kFp32),
                CheckError);
   EXPECT_THROW(reg.kind("nope"), CheckError);
@@ -200,8 +202,7 @@ TEST(BatchServerTest, BatchedMatchesSerialAcrossTiers) {
   const auto yolo_frames = frames_for(small_yolo_cfg(), 12, 31);
   const auto dist_frames = frames_for(small_dist_cfg(), 12, 32);
 
-  const GemmPrecision tiers[] = {GemmPrecision::kFp32, GemmPrecision::kBf16,
-                                 GemmPrecision::kInt8};
+  const GemmPrecision tiers[] = {GemmPrecision::kFp32, GemmPrecision::kInt8};
   for (GemmPrecision tier : tiers) {
     SCOPED_TRACE(static_cast<int>(tier));
     const auto det_ref = serial_detect(yolo, yolo_frames, tier, conf);
@@ -423,20 +424,20 @@ TEST(PrecisionConcurrencyTest, ThreadScopesPinIndependentTiers) {
   const auto frames = frames_for(small_yolo_cfg(), 6, 111);
   const float conf = 0.05f;
 
-  const GemmPrecision tiers[] = {GemmPrecision::kFp32, GemmPrecision::kBf16,
-                                 GemmPrecision::kInt8};
+  const GemmPrecision tiers[] = {GemmPrecision::kFp32, GemmPrecision::kInt8};
   std::vector<std::vector<std::vector<Detection>>> refs;
   for (GemmPrecision tier : tiers)
     refs.push_back(serial_detect(yolo, frames, tier, conf));
 
-  // Three threads, each pinning a different tier on its own clone, all
+  // One thread per tier, each pinning its tier on its own clone, all
   // running concurrently. With the old process-global PrecisionScope this
   // cross-talks; per-thread overrides must reproduce each serial
   // reference bit-for-bit.
+  const int n_tiers = static_cast<int>(std::size(tiers));
   for (int round = 0; round < 3; ++round) {
-    std::vector<std::vector<std::vector<Detection>>> got(3);
+    std::vector<std::vector<std::vector<Detection>>> got(n_tiers);
     std::vector<std::thread> threads;
-    for (int t = 0; t < 3; ++t)
+    for (int t = 0; t < n_tiers; ++t)
       threads.emplace_back([&, t] {
         TinyYolo clone = models::clone_detector(yolo);
         nn::ThreadPrecisionScope scope(tiers[t]);
@@ -444,7 +445,7 @@ TEST(PrecisionConcurrencyTest, ThreadScopesPinIndependentTiers) {
           got[t].push_back(clone.detect(f, conf)[0]);
       });
     for (auto& th : threads) th.join();
-    for (int t = 0; t < 3; ++t) {
+    for (int t = 0; t < n_tiers; ++t) {
       SCOPED_TRACE(t);
       ASSERT_EQ(got[t].size(), frames.size());
       for (std::size_t i = 0; i < frames.size(); ++i)
@@ -454,17 +455,17 @@ TEST(PrecisionConcurrencyTest, ThreadScopesPinIndependentTiers) {
 }
 
 TEST(PrecisionConcurrencyTest, ThreadScopeShadowsGlobalAndRestores) {
-  nn::PrecisionScope global(GemmPrecision::kBf16);
-  EXPECT_EQ(nn::PrecisionScope::active(), GemmPrecision::kBf16);
+  nn::PrecisionScope global(GemmPrecision::kInt8);
+  EXPECT_EQ(nn::PrecisionScope::active(), GemmPrecision::kInt8);
   {
-    nn::ThreadPrecisionScope local(GemmPrecision::kInt8);
-    EXPECT_EQ(nn::PrecisionScope::active(), GemmPrecision::kInt8);
+    nn::ThreadPrecisionScope local(GemmPrecision::kFp32);
+    EXPECT_EQ(nn::PrecisionScope::active(), GemmPrecision::kFp32);
     // Another thread sees the global, not this thread's override.
     GemmPrecision other = GemmPrecision::kFp32;
     std::thread([&] { other = nn::PrecisionScope::active(); }).join();
-    EXPECT_EQ(other, GemmPrecision::kBf16);
+    EXPECT_EQ(other, GemmPrecision::kInt8);
   }
-  EXPECT_EQ(nn::PrecisionScope::active(), GemmPrecision::kBf16);
+  EXPECT_EQ(nn::PrecisionScope::active(), GemmPrecision::kInt8);
 }
 
 TEST(PrecisionConcurrencyTest, GenerationBumpsDuringConcurrentForwards) {

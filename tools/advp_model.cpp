@@ -65,7 +65,7 @@ const char* tier_name(std::uint32_t tier) {
   switch (tier) {
     case 0:
       return "fp32";
-    case 1:
+    case 1:  // retired; files written before its removal still list it
       return "bf16";
     case 2:
       return "int8";

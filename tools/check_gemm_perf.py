@@ -21,14 +21,11 @@ milliseconds vary wildly across CI runners and are never compared:
   deterministic byte count, so it gets a fixed floor PACK_REDUCTION_MIN
   rather than a baseline-relative one.
 
-Two reduced-precision sections gate the inference tiers:
+One section gates the quantized inference tier:
 
-- "bf16": the bytes tier. pack_ratio (bf16 staged pack bytes over fp32)
-  is a deterministic byte count with a fixed ceiling BF16_PACK_MAX; the
-  speedup column is informational only (bf16 trades compute for traffic).
-- "int8": the speed tier. speedup (warm fp32 ms over warm int8 ms,
-  single thread, calibrated activation scale) must clear INT8_SPEEDUP_MIN
-  on every committed shape, baseline-relative on top.
+- "int8": speedup (warm fp32 ms over warm int8 ms, single thread,
+  calibrated activation scale) must clear INT8_SPEEDUP_MIN on every
+  committed shape, baseline-relative on top.
 
 Two sections gate the convolution fast paths:
 
@@ -64,8 +61,8 @@ Two sections gate the elementwise kernels:
   (single draws in a loop, or loops a compiler no longer vectorizes).
 
 Also asserts `identical: true` for every entry: the blocked kernel, the
-fused epilogue, the warm-cache path, both reduced-precision tiers
-(SIMD vs portable micro-kernel), the compiled plan (vs the eager walk),
+fused epilogue, the warm-cache path, the int8 tier (SIMD vs portable
+micro-kernel), the compiled plan (vs the eager walk),
 the implicit-im2col packer (vs the staged column matrix), the sigmoid
 kernel (vs the libm expression), the Gaussian kernel (vs the scalar loop,
 engine position included) and the bulk engine draw (vs single draws,
@@ -79,7 +76,6 @@ import perf_common as pc
 TOLERANCE = pc.TOLERANCE
 FUSED_MIN = 1.15  # fused epilogue must beat separate passes by >= 15%
 PACK_REDUCTION_MIN = 0.80  # warm calls must skip >= 80% of packing bytes
-BF16_PACK_MAX = 0.55  # bf16 panels must stay <= 55% of fp32 pack bytes
 INT8_SPEEDUP_MIN = 1.50  # calibrated int8 must beat warm fp32 by >= 50%
 PLAN_SPEEDUP_MIN = 1.10  # compiled plan must beat the eager walk by >= 10%
 CONV_IMPLICIT_MIN = 1.15  # implicit im2col must beat staged by >= 15%
@@ -93,7 +89,7 @@ BACKEND_FLOORS = {
     "gaussian": ({"avx512": 2.5}, 0.7),
 }
 
-SECTIONS = ("shapes", "fused", "warm_cache", "bf16", "int8", "plan", "conv",
+SECTIONS = ("shapes", "fused", "warm_cache", "int8", "plan", "conv",
             "sigmoid", "gaussian")
 
 
@@ -122,7 +118,6 @@ def main():
         ("shapes", "speedup", None, "blocked kernel"),
         ("fused", "fused_speedup", FUSED_MIN, "fused epilogue"),
         ("warm_cache", "pack_bytes_reduction", PACK_REDUCTION_MIN, "warm cache"),
-        ("bf16", "pack_ratio", None, "bf16 tier"),
         ("int8", "speedup", INT8_SPEEDUP_MIN, "int8 tier"),
         ("plan", "plan_speedup", PLAN_SPEEDUP_MIN, "compiled plan"),
         ("conv", "conv_implicit_speedup", CONV_IMPLICIT_MIN, "implicit im2col"),
@@ -137,11 +132,6 @@ def main():
                 continue
             if pc.check_identical(name, f, what):
                 failures += 1
-                continue
-            if section == "bf16":
-                # Byte counts are deterministic; the ceiling is absolute.
-                failures += pc.check_ceiling(name, f[ratio_key], BF16_PACK_MAX,
-                                             ratio_key)
                 continue
             if section == "warm_cache":
                 # Byte counts are deterministic; the floor is absolute.

@@ -42,8 +42,8 @@ def main():
 
     failures = []
     tiers = data.get("tiers", [])
-    if len(tiers) != 3:
-        failures.append(f"expected 3 tiers, got {len(tiers)}")
+    if len(tiers) != 2:
+        failures.append(f"expected 2 tiers, got {len(tiers)}")
     for tier in tiers:
         name = tier.get("name", "?")
 
