@@ -248,15 +248,6 @@ Tensor Flatten::forward(const Tensor& x, bool) {
 
 Tensor Flatten::backward(const Tensor& dy) { return dy.reshape(in_shape_); }
 
-Tensor GlobalAvgPool::forward(const Tensor& x, bool) {
-  in_shape_ = x.shape();
-  return global_avgpool_forward(x);
-}
-
-Tensor GlobalAvgPool::backward(const Tensor& dy) {
-  return global_avgpool_backward(dy, in_shape_);
-}
-
 // ---- BatchNorm2d -------------------------------------------------------------
 
 BatchNorm2d::BatchNorm2d(int channels, float momentum, float eps)

@@ -139,16 +139,6 @@ class Flatten : public Module {
   std::vector<int> in_shape_;
 };
 
-/// Global average pooling [N,C,H,W] -> [N,C].
-class GlobalAvgPool : public Module {
- public:
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& dy) override;
-
- private:
-  std::vector<int> in_shape_;
-};
-
 /// Per-channel batch normalization over N,H,W with running statistics.
 ///
 /// The running mean/variance are exposed through collect_params so model

@@ -27,30 +27,25 @@ namespace advp::nn {
 namespace {
 
 enum class OpKind {
-  kConv,     // Conv2d [+ eval-BN fold] [+ ReLU|SiLU], fused GEMM epilogue
+  kConv,     // Conv2d [+ eval-BN fold] [+ SiLU], fused GEMM epilogue
   kLinear,   // Linear [+ ReLU], fused GEMM epilogue
   kMaxPool,  // 2x2 stride-2 max pool (the eager kernel, no argmax)
-  kUpsample,
-  kGlobalAvgPool,
-  kBatchNorm,  // standalone eval-mode BN
-  kRelu,
-  kSilu,
 };
 
 struct PlanOp {
   OpKind kind;
   Conv2d* conv = nullptr;
-  BatchNorm2d* bn = nullptr;  // folded (kConv) or standalone (kBatchNorm)
+  BatchNorm2d* bn = nullptr;  // folded into kConv's epilogue
   Linear* lin = nullptr;
   Act act = Act::kNone;
-  float slope = 0.f;
+  float slope = 0.f;  // kLinear's ReLU
   // Input geometry: n,c,h,w for rank-4 ops; (n, c) with h=w=1 for rank-2.
   int n = 0, c = 0, h = 0, w = 0;
   // Output geometry (oc/oh/ow; Linear uses oc = out features).
   int oc = 0, oh = 0, ow = 0;
   std::size_t out_elems = 0;
   int dst = -1;  // 0/1 = ping-pong slot, 2 = plan output tensor
-  // kConv with BN / kBatchNorm: inv_std refreshed per execute into this
+  // kConv with BN: inv_std refreshed per execute into this
   // pre-sized buffer (same expression as BatchNorm2d::forward, so the
   // fold always reflects the current running stats, bit-for-bit).
   std::vector<float> bn_inv_std;
@@ -172,7 +167,9 @@ bool ExecPlan::compile(const std::vector<Module*>& layers,
   };
 
   // Pass 1+2: shape inference and fusion in one walk: Conv2d
-  // [+BatchNorm2d] [+ReLU|SiLU] and Linear [+ReLU] runs become one op.
+  // [+BatchNorm2d] [+SiLU] and Linear [+ReLU] runs become one op. These,
+  // MaxPool2x2 and Flatten are what DistNet and TinyYolo contain; any
+  // other layer declines the compile and the forward takes the eager walk.
   const std::size_t count = layers.size();
   for (std::size_t i = 0; i < count; ++i) {
     Module* mod = layers[i];
@@ -204,15 +201,9 @@ bool ExecPlan::compile(const std::vector<Module*>& layers,
         op.bn_inv_std.resize(static_cast<std::size_t>(op.oc));
         ++next;
       }
-      if (next < count) {
-        if (auto* relu = dynamic_cast<ReLU*>(layers[next])) {
-          op.act = Act::kReluLeaky;
-          op.slope = relu->slope();
-          ++next;
-        } else if (dynamic_cast<SiLU*>(layers[next])) {
-          op.act = Act::kSilu;
-          ++next;
-        }
+      if (next < count && dynamic_cast<SiLU*>(layers[next])) {
+        op.act = Act::kSilu;
+        ++next;
       }
       const int patch = op.c * s.kernel * s.kernel;
       const int pixels = op.oh * op.ow;
@@ -265,36 +256,6 @@ bool ExecPlan::compile(const std::vector<Module*>& layers,
       im.ops.push_back(std::move(op));
       continue;
     }
-    if (dynamic_cast<Upsample2x*>(mod)) {
-      if (shape.size() != 4) return false;
-      PlanOp op;
-      op.kind = OpKind::kUpsample;
-      op.n = shape[0];
-      op.c = shape[1];
-      op.h = shape[2];
-      op.w = shape[3];
-      op.oc = op.c;
-      op.oh = 2 * op.h;
-      op.ow = 2 * op.w;
-      shape = {op.n, op.oc, op.oh, op.ow};
-      op.out_elems = static_cast<std::size_t>(op.n) * op.oc * op.oh * op.ow;
-      im.ops.push_back(std::move(op));
-      continue;
-    }
-    if (dynamic_cast<GlobalAvgPool*>(mod)) {
-      if (shape.size() != 4) return false;
-      PlanOp op;
-      op.kind = OpKind::kGlobalAvgPool;
-      op.n = shape[0];
-      op.c = shape[1];
-      op.h = shape[2];
-      op.w = shape[3];
-      op.oc = op.c;
-      shape = {op.n, op.c};
-      op.out_elems = static_cast<std::size_t>(op.n) * op.c;
-      im.ops.push_back(std::move(op));
-      continue;
-    }
     if (dynamic_cast<Flatten*>(mod)) {
       // Row-major NCHW is already contiguous per item: a flatten is pure
       // shape bookkeeping, no op and no copy.
@@ -305,42 +266,7 @@ bool ExecPlan::compile(const std::vector<Module*>& layers,
       shape = {shape[0], static_cast<int>(flat)};
       continue;
     }
-    if (dynamic_cast<Dropout*>(mod)) continue;  // identity in eval mode
-    if (auto* bn = dynamic_cast<BatchNorm2d*>(mod)) {
-      if (shape.size() != 4 || shape[1] != bn->gamma().dim(0)) return false;
-      PlanOp op;
-      op.kind = OpKind::kBatchNorm;
-      op.bn = bn;
-      op.n = shape[0];
-      op.c = shape[1];
-      op.h = shape[2];
-      op.w = shape[3];
-      op.oc = op.c;
-      op.oh = op.h;
-      op.ow = op.w;
-      op.bn_inv_std.resize(static_cast<std::size_t>(op.c));
-      op.out_elems = static_cast<std::size_t>(op.n) * op.c * op.h * op.w;
-      im.ops.push_back(std::move(op));
-      continue;
-    }
-    if (auto* relu = dynamic_cast<ReLU*>(mod)) {
-      PlanOp op;
-      op.kind = OpKind::kRelu;
-      op.slope = relu->slope();
-      op.out_elems = 1;
-      for (int d : shape) op.out_elems *= static_cast<std::size_t>(d);
-      im.ops.push_back(std::move(op));
-      continue;
-    }
-    if (dynamic_cast<SiLU*>(mod)) {
-      PlanOp op;
-      op.kind = OpKind::kSilu;
-      op.out_elems = 1;
-      for (int d : shape) op.out_elems *= static_cast<std::size_t>(d);
-      im.ops.push_back(std::move(op));
-      continue;
-    }
-    return false;  // unsupported layer: caller takes the eager walk
+    return false;  // any other layer: the caller takes the eager walk
   }
   if (im.ops.empty()) return false;
 
@@ -468,68 +394,6 @@ void ExecPlan::Impl::run(const Tensor& x) {
       case OpKind::kMaxPool:
         maxpool2x2(src, static_cast<std::size_t>(op.n) * op.c, op.h, op.w,
                    dst, /*argmax=*/nullptr);
-        break;
-      case OpKind::kUpsample: {
-        for (int i = 0; i < op.n; ++i)
-          for (int cc = 0; cc < op.c; ++cc) {
-            const float* sp =
-                src + (static_cast<std::size_t>(i) * op.c + cc) * op.h * op.w;
-            float* dp =
-                dst + (static_cast<std::size_t>(i) * op.c + cc) * op.oh * op.ow;
-            for (int yy = 0; yy < op.oh; ++yy)
-              for (int xx = 0; xx < op.ow; ++xx)
-                dp[static_cast<std::size_t>(yy) * op.ow + xx] =
-                    sp[static_cast<std::size_t>(yy / 2) * op.w + xx / 2];
-          }
-        break;
-      }
-      case OpKind::kGlobalAvgPool: {
-        const float inv = 1.f / static_cast<float>(op.h * op.w);
-        for (int i = 0; i < op.n; ++i)
-          for (int cc = 0; cc < op.c; ++cc) {
-            const float* p =
-                src + (static_cast<std::size_t>(i) * op.c + cc) * op.h * op.w;
-            double acc = 0.0;
-            for (int j = 0; j < op.h * op.w; ++j) acc += p[j];
-            dst[static_cast<std::size_t>(i) * op.c + cc] =
-                static_cast<float>(acc) * inv;
-          }
-        break;
-      }
-      case OpKind::kBatchNorm: {
-        const Tensor& var = op.bn->running_var();
-        const Tensor& mean = op.bn->running_mean();
-        const Tensor& gamma = op.bn->gamma();
-        const Tensor& beta = op.bn->beta();
-        float* is = const_cast<float*>(op.bn_inv_std.data());
-        for (int cc = 0; cc < op.c; ++cc)
-          is[cc] = 1.f / std::sqrt(var[static_cast<std::size_t>(cc)] +
-                                   op.bn->eps());
-        const std::size_t plane =
-            static_cast<std::size_t>(op.h) * op.w;
-        for (int i = 0; i < op.n; ++i)
-          for (int cc = 0; cc < op.c; ++cc) {
-            const float m = mean[static_cast<std::size_t>(cc)];
-            const float g = gamma[static_cast<std::size_t>(cc)];
-            const float bt = beta[static_cast<std::size_t>(cc)];
-            const float isv = is[cc];
-            const std::size_t base =
-                (static_cast<std::size_t>(i) * op.c + cc) * plane;
-            for (std::size_t j = 0; j < plane; ++j)
-              dst[base + j] = g * ((src[base + j] - m) * isv) + bt;
-          }
-        break;
-      }
-      case OpKind::kRelu: {
-        const float sl = op.slope;
-        for (std::size_t j = 0; j < op.out_elems; ++j) {
-          const float v = src[j];
-          dst[j] = v > 0.f ? v : sl * v;
-        }
-        break;
-      }
-      case OpKind::kSilu:
-        silu(src, dst, op.out_elems);
         break;
     }
     src = dst;

@@ -7,7 +7,7 @@
 //
 //  1. Shape inference over the layer list — every intermediate's geometry
 //     is known before the first real forward.
-//  2. Fusion — Conv2d[+BatchNorm2d][+ReLU|SiLU] and Linear[+ReLU] runs are
+//  2. Fusion — Conv2d[+BatchNorm2d][+SiLU] and Linear[+ReLU] runs are
 //     grouped once into a flat op list; eval-BN and the activation fold
 //     into the GEMM epilogue.
 //  3. Buffer schedule — the op chain is single-input/single-output, so
@@ -17,9 +17,9 @@
 //     plan that fits the slots of a larger plan of the same PlanCache
 //     runs on those, so a model compiled for its largest batch allocates
 //     no activation memory for the smaller ones.
-//     Reshapes (Flatten) and eval-mode Dropout are aliases: zero copies,
-//     zero ops. Steady-state execution performs zero heap allocations —
-//     asserted through the plan_steady_allocs obs counter, not by eye.
+//     Flatten is an alias: zero copies, zero ops. Steady-state execution
+//     performs zero heap allocations — asserted through the
+//     plan_steady_allocs obs counter, not by eye.
 //
 // Execution is bit-identical to the eager walk under an
 // InferenceModeScope at every tier, which is the plan's oracle in tests:
@@ -35,9 +35,11 @@
 // changes select a different cache entry outright, since the tier is part
 // of the plan key.
 //
-// Layers the compiler does not know, and int8 through a layer without a
-// calibrated range, are not compiled: the forward takes the eager walk,
-// which throws for the uncalibrated int8 case.
+// The compiler knows exactly what DistNet and TinyYolo contain: Conv2d
+// [+BatchNorm2d] [+SiLU], Linear [+ReLU], MaxPool2x2 and Flatten. Any
+// other layer, and int8 through a layer without a calibrated range, is not
+// compiled: PlanCache remembers the declined key and the forward takes the
+// eager walk, which throws for the uncalibrated int8 case.
 #pragma once
 
 #include <memory>

@@ -128,12 +128,14 @@ class Mapping {
       void* p = size ? ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0)
                      : nullptr;
       ::close(fd);
-      if (size && p == MAP_FAILED) return nullptr;
-      auto m = std::make_shared<Mapping>();
-      m->data_ = static_cast<const unsigned char*>(p);
-      m->size_ = size;
-      m->mmapped_ = true;
-      return m;
+      if (!size || p != MAP_FAILED) {
+        auto m = std::make_shared<Mapping>();
+        m->data_ = static_cast<const unsigned char*>(p);
+        m->size_ = size;
+        m->mmapped_ = true;
+        return m;
+      }
+      // A file that cannot be mapped is read onto the heap below.
     }
 #else
     (void)use_mmap;
@@ -688,7 +690,7 @@ AdvpLoadResult load_advp(const std::vector<Module*>& roots,
                          const std::string& path,
                          const AdvpLoadOptions& opts) {
   ParsedFile pf;
-  AdvpLoadResult r = parse_file(path, opts.use_mmap, &pf);
+  AdvpLoadResult r = parse_file(path, /*use_mmap=*/true, &pf);
   if (!r.ok()) return r;
   r.content_hash = pf.header.content_hash;
   const unsigned char* base = pf.map->data();
@@ -719,7 +721,7 @@ AdvpLoadResult load_advp(const std::vector<Module*>& roots,
     return fail(AdvpStatus::kModelMismatch,
                 "calibration section covers a different layer count");
 
-  if (opts.verify_hash && hash_payloads(pf) != pf.header.content_hash)
+  if (hash_payloads(pf) != pf.header.content_hash)
     return fail(AdvpStatus::kHashMismatch,
                 "parameter payloads do not match the header content hash");
 

@@ -107,11 +107,10 @@ struct AdvpSaveOptions {
   std::vector<std::pair<std::string, std::string>> meta;
 };
 
-/// Options for load_advp.
+/// Options for load_advp. The load itself always maps the file (reading it
+/// onto the heap where mapping fails) and verifies the content hash over
+/// the raw parameter payloads before anything is copied into the model.
 struct AdvpLoadOptions {
-  /// Verify the content hash over the raw parameter payloads before
-  /// anything is copied into the model. Costs one pass over the weights.
-  bool verify_hash = true;
   /// Adopt the file's pre-packed panels into the layers' cache slots
   /// (when present, geometry-compatible, and the pack cache is enabled).
   bool adopt_packed = true;
@@ -119,9 +118,6 @@ struct AdvpLoadOptions {
   /// 2 int8; any other id adopts nothing), or negative (default) to
   /// resolve the ambient tier (PrecisionScope::active()) at load time.
   int adopt_tier = -1;
-  /// Map the file with mmap (falling back to a heap read when mapping is
-  /// unavailable). Off forces the heap read — mainly for tests.
-  bool use_mmap = true;
 };
 
 /// Outcome of load_advp / verify_advp / read_advp_info.

@@ -28,11 +28,6 @@ float longitudinal_accel(const AccParams& params, float gap_est, float v_ego,
   return std::clamp(accel, params.max_brake, params.max_accel);
 }
 
-float AccSimulator::control(float gap_est, float v_ego,
-                            float closing_speed) const {
-  return longitudinal_accel(params_, gap_est, v_ego, closing_speed);
-}
-
 AccStepper::AccStepper(const AccScenario& scenario, const AccParams& params,
                        bool record_trace)
     : sc_(scenario),

@@ -172,9 +172,6 @@ class AccSimulator {
   models::DistNet& perception() { return perception_; }
 
  private:
-  /// Longitudinal control law (desired-gap tracking with cruise limit).
-  float control(float gap_est, float v_ego, float closing_speed) const;
-
   models::DistNet& perception_;
   data::DrivingSceneGenerator generator_;
   AccParams params_;

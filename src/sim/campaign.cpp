@@ -348,16 +348,25 @@ bool CampaignAggregate::from_json(const std::string& json,
       !parse_u64_field(json, "n_trajectories", &n_traj) ||
       !parse_u64_field(json, "n_attacks", &n_att))
     return false;
+  constexpr std::uint64_t kMaxDim = std::numeric_limits<int>::max();
+  if (n_traj > kMaxDim || n_att > kMaxDim) return false;
   a.n_trajectories = static_cast<int>(n_traj);
   a.n_attacks = static_cast<int>(n_att);
   if (!parse_u64_array(json, "gap_hist", a.gap_hist.data(), kGapBins) ||
       !parse_u64_array(json, "ttc_hist", a.ttc_hist.data(), kTtcBins))
     return false;
-  const std::size_t n_cells = n_traj * n_att;
-  a.cells.resize(n_cells);
   const char* cur;
   if (!seek_key(json, "cells", &cur) || *cur != '[') return false;
   ++cur;
+  // Both dims fit an int, so the product cannot wrap. Size the table only
+  // when the rest of the line can hold that many cells, each at least
+  // "[0,0,0,0]": a forged count must not allocate before it fails.
+  const std::uint64_t n_cells = n_traj * n_att;
+  constexpr std::uint64_t kMinCellBytes = 9;
+  const std::size_t left = json.size() - static_cast<std::size_t>(
+                                             cur - json.c_str());
+  if (n_cells > left / kMinCellBytes) return false;
+  a.cells.resize(static_cast<std::size_t>(n_cells));
   for (std::size_t c = 0; c < n_cells; ++c) {
     if (*cur != '[') return false;
     ++cur;
@@ -470,15 +479,14 @@ FrameHook CampaignEngine::make_hook(AttackFamily f, std::uint64_t index,
   return nullptr;
 }
 
-AccResult CampaignEngine::run_scenario_serial(std::uint64_t i,
-                                              bool record_trace) {
-  const ScenarioPoint p = spec_.at(i);
+AccResult CampaignEngine::simulate(models::DistNet& model,
+                                   const ScenarioPoint& p,
+                                   bool record_trace) {
   data::DrivingSceneGenerator gen = lane_generator(p);
-  AccSimulator sim(perception_, gen, acc_params_);
-  Rng rng(Rng::stream_seed(config_.base_seed, i));
-  const FrameHook hook =
-      make_hook(spec_.attacks[static_cast<std::size_t>(p.attack)], i,
-                perception_);
+  AccSimulator sim(model, gen, acc_params_);
+  Rng rng(Rng::stream_seed(config_.base_seed, p.index));
+  const FrameHook hook = make_hook(
+      spec_.attacks[static_cast<std::size_t>(p.attack)], p.index, model);
   AccRunOptions opts;
   opts.record_trace = record_trace;
   const LightingRegime regime =
@@ -489,22 +497,15 @@ AccResult CampaignEngine::run_scenario_serial(std::uint64_t i,
   return sim.run(p.scenario, rng, hook, opts);
 }
 
+AccResult CampaignEngine::run_scenario_serial(std::uint64_t i,
+                                              bool record_trace) {
+  return simulate(perception_, spec_.at(i), record_trace);
+}
+
 void CampaignEngine::run_eager_one(models::DistNet& model,
                                    const ScenarioPoint& p,
                                    CampaignAggregate& agg) {
-  data::DrivingSceneGenerator gen = lane_generator(p);
-  AccSimulator sim(model, gen, acc_params_);
-  Rng rng(Rng::stream_seed(config_.base_seed, p.index));
-  const FrameHook hook = make_hook(
-      spec_.attacks[static_cast<std::size_t>(p.attack)], p.index, model);
-  AccRunOptions opts;
-  opts.record_trace = config_.record_trace;
-  const LightingRegime regime =
-      spec_.lighting[static_cast<std::size_t>(p.lighting)];
-  opts.style_transform = [regime](data::SceneStyle s) {
-    return apply_lighting(regime, s);
-  };
-  const AccResult res = sim.run(p.scenario, rng, hook, opts);
+  const AccResult res = simulate(model, p, config_.record_trace);
   agg.add(p, res);
   progress_.completed.fetch_add(1, std::memory_order_relaxed);
   progress_.steps.fetch_add(static_cast<std::uint64_t>(res.steps),
@@ -531,7 +532,7 @@ void CampaignEngine::run_runner(models::DistNet& model,
                                 std::atomic<std::uint64_t>& next,
                                 std::uint64_t hi, CampaignAggregate& local) {
   using Clock = std::chrono::steady_clock;
-  const int cohort = config_.lockstep ? std::max(1, config_.cohort) : 1;
+  const int cohort = config_.cohort;
 
   // Pulls the next index into `lane`; stateful attack families run eagerly
   // right here (they cannot join the cohort) and the pull continues.
@@ -543,7 +544,7 @@ void CampaignEngine::run_runner(models::DistNet& model,
       const ScenarioPoint p = spec_.at(i);
       const AttackFamily fam =
           spec_.attacks[static_cast<std::size_t>(p.attack)];
-      if (!config_.lockstep || attack_family_stateful(fam)) {
+      if (attack_family_stateful(fam)) {
         run_eager_one(model, p, local);
         continue;
       }

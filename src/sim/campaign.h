@@ -200,7 +200,9 @@ struct CampaignAggregate {
   /// Single-line JSON (floats printed with "%.9g" so float32 values
   /// round-trip exactly — the shard wire format).
   std::string to_json() const;
-  /// Parses to_json() output. Returns false on malformed input.
+  /// Parses to_json() output. Returns false on malformed input, and on a
+  /// grid dim above INT_MAX or a cell count the line cannot hold before
+  /// the cell table is sized.
   static bool from_json(const std::string& json, CampaignAggregate* out);
 };
 
@@ -209,7 +211,6 @@ struct CampaignAggregate {
 struct CampaignConfig {
   int cohort = 8;                  ///< lockstep lanes per runner
   std::uint64_t base_seed = 1234;  ///< scenario i uses stream_seed(seed, i)
-  bool lockstep = true;  ///< false = eager per-scenario path everywhere
   /// Record per-step traces and hand each finished result to on_result
   /// (called under an engine mutex, any runner thread). Off by default:
   /// campaigns aggregate only, keeping memory O(1) in scenario count.
@@ -277,6 +278,11 @@ class CampaignEngine {
 
   void run_runner(models::DistNet& model, std::atomic<std::uint64_t>& next,
                   std::uint64_t hi, CampaignAggregate& local);
+  /// Runs scenario `p` alone on `model`: the stream, generator, style
+  /// transform and attack hook a lockstep lane would use.
+  AccResult simulate(models::DistNet& model, const ScenarioPoint& p,
+                     bool record_trace);
+  /// simulate() for a stateful family inside a runner, folded into `agg`.
   void run_eager_one(models::DistNet& model, const ScenarioPoint& p,
                      CampaignAggregate& agg);
   void finish_lane(Lane& lane, CampaignAggregate& agg);

@@ -614,39 +614,6 @@ void apply_epilogue(const GemmEpilogue& ep, float* c, int ldc, int row0,
   pick_epilogue(ep)(ep, c, ldc, row0, col0, mr, nr);
 }
 
-// Validates `slot` against the operand key. On a hit the packed panels are
-// already in the slot; on a miss the buffer is resized to `floats` and the
-// caller repacks into it. The precision is part of the key, so switching a
-// layer's tier (or recalibrating, which bumps the weight generation)
-// always repacks — a slot never serves panels quantized for another tier.
-bool cache_lookup(GemmCacheSlot* slot, const float* src, int d0, int d1,
-                  int ld, bool trans, std::size_t floats,
-                  GemmPrecision prec) {
-  const std::uint64_t gen = weight_generation();
-  const std::size_t capacity =
-      slot->external ? slot->external_floats : slot->packed.size_floats();
-  if (slot->src == src && slot->d0 == d0 && slot->d1 == d1 &&
-      slot->ld == ld && slot->trans == trans && slot->generation == gen &&
-      slot->precision == prec && capacity >= floats) {
-    ADVP_OBS_COUNT(kPackCacheHits, 1);
-    return true;
-  }
-  // Any miss detaches an adopted external image before repacking: the
-  // slot must never write through (or keep serving) a stale mapping.
-  slot->external = nullptr;
-  slot->external_floats = 0;
-  slot->packed.resize_floats(floats);
-  slot->src = src;
-  slot->d0 = d0;
-  slot->d1 = d1;
-  slot->ld = ld;
-  slot->trans = trans;
-  slot->generation = gen;
-  slot->precision = prec;
-  ADVP_OBS_COUNT(kPackCacheMisses, 1);
-  return false;
-}
-
 // Bytes of non-float packed storage expressed in the AlignedBuffer's float
 // granularity, rounded up.
 inline std::size_t floats_for_bytes(std::size_t bytes) {
@@ -1027,6 +994,100 @@ void pack_b_int8_implicit(const PackSource& ps, int k, int j0, int nw,
                  static_cast<std::uint64_t>(kpad) * round_up(nw, kNr));
 }
 
+// The one writer of a weight operand's canonical packed image at tier `p`:
+// what a cache slot holds after a miss, what gemm_int8 stages for a weight
+// without a slot, and what export_packed_weights hands to save_advp. fp32
+// op(A) is the full-k row-panel pack; fp32 op(B) packs each Kc block across
+// the full width, the block at row pc starting at float offset npad*pc
+// (stripe boundaries are kNr-aligned, so any stripe geometry indexes its
+// panels in the same image). int8 quantizes per output channel into
+// `scales`, writes the +128-bias compensation 128 * sum_k(w_q) into `comp`
+// and packs the staged bytes unbiased.
+void write_weight_image(const PackedWeightSpec& spec, GemmPrecision p,
+                        void* dst, float* scales, std::int32_t* comp) {
+  if (p == GemmPrecision::kFp32) {
+    float* out = static_cast<float*>(dst);
+    if (spec.is_a) {
+      pack_a(spec.src, spec.ld, spec.trans, spec.d0, spec.d1, out);
+      return;
+    }
+    const int npad = round_up(spec.d1, kNr);
+    for (int pc = 0; pc < spec.d0; pc += kKc)
+      pack_b(spec.src, spec.ld, spec.trans, pc, std::min(kKc, spec.d0 - pc),
+             0, spec.d1, out + static_cast<std::size_t>(npad) * pc);
+    return;
+  }
+  const int ch = packed_weight_channels(spec);
+  const int k = spec.is_a ? spec.d1 : spec.d0;
+  ScratchArena& arena = ScratchArena::local();
+  ScratchArena::Frame frame(arena);
+  if (spec.is_a)
+    weight_scales_a(spec.src, spec.ld, spec.trans, ch, k, scales);
+  else
+    weight_scales_b(spec.src, spec.ld, spec.trans, k, ch, scales);
+  float* inv = arena.alloc_floats(ch);
+  for (int c = 0; c < ch; ++c) inv[c] = scales[c] > 0.f ? 1.f / scales[c] : 0.f;
+  std::int8_t* st = static_cast<std::int8_t*>(
+      arena.alloc_bytes(static_cast<std::size_t>(ch) * k));
+  std::int8_t* out = static_cast<std::int8_t*>(dst);
+  if (spec.is_a)
+    stage_a_int8(spec.src, spec.ld, spec.trans, ch, k, inv, 0.f, st);
+  else
+    stage_b_int8(spec.src, spec.ld, spec.trans, k, ch, inv, 0.f, st);
+  for (int c = 0; c < ch; ++c) {
+    std::int32_t sum = 0;
+    for (int kk = 0; kk < k; ++kk)
+      sum += spec.is_a ? staged_a(st, spec.trans, ch, k, c, kk)
+                       : staged_b(st, spec.trans, k, ch, kk, c);
+    comp[c] = 128 * sum;
+  }
+  if (spec.is_a)
+    pack_a_int8(st, spec.trans, ch, k, /*biased=*/false, out);
+  else
+    pack_b_int8(st, spec.trans, k, ch, 0, ch, /*biased=*/false, out);
+}
+
+// The slot's packed image of weight operand `spec` at tier `p`. A hit needs
+// the same operand key, weight generation and tier, so switching a layer's
+// tier (or recalibrating, which bumps the generation) always repacks — a
+// slot never serves panels quantized for another tier. A miss detaches an
+// adopted external image (the slot must never write through, or keep
+// serving, a stale mapping) and writes the image into the slot's own
+// buffer, int8 scales and comp beside it.
+const void* slot_image(GemmCacheSlot* slot, const PackedWeightSpec& spec,
+                       GemmPrecision p) {
+  const std::uint64_t gen = weight_generation();
+  const std::size_t floats = floats_for_bytes(packed_weights_bytes(spec, p));
+  const std::size_t capacity =
+      slot->external ? slot->external_floats : slot->packed.size_floats();
+  if (slot->src == spec.src && slot->d0 == spec.d0 && slot->d1 == spec.d1 &&
+      slot->ld == spec.ld && slot->trans == spec.trans &&
+      slot->generation == gen && slot->precision == p && capacity >= floats) {
+    ADVP_OBS_COUNT(kPackCacheHits, 1);
+    return slot->panel_data();
+  }
+  slot->external = nullptr;
+  slot->external_floats = 0;
+  slot->packed.resize_floats(floats);
+  slot->src = spec.src;
+  slot->d0 = spec.d0;
+  slot->d1 = spec.d1;
+  slot->ld = spec.ld;
+  slot->trans = spec.trans;
+  slot->generation = gen;
+  slot->precision = p;
+  ADVP_OBS_COUNT(kPackCacheMisses, 1);
+  if (p == GemmPrecision::kInt8) {
+    const std::size_t ch =
+        static_cast<std::size_t>(packed_weight_channels(spec));
+    slot->scales.assign(ch, 0.f);
+    slot->comp.assign(ch, 0);
+  }
+  write_weight_image(spec, p, slot->packed.data(), slot->scales.data(),
+                     slot->comp.data());
+  return slot->panel_data();
+}
+
 // int8 micro-kernels: full-k accumulation of a kMr x kNr tile of the
 // *biased* integer sum (the activation operand's bytes carry +128) into an
 // int32 scratch tile; the caller subtracts the per-channel compensation
@@ -1153,33 +1214,10 @@ void gemm_int8(int m, int n, int k, const float* a, int lda, bool trans_a,
   const float* w_scales = nullptr;
   const std::int32_t* w_comp = nullptr;
   if (wa) {
-    auto quantize_a = [&](float* scales, std::int32_t* comp,
-                          std::int8_t* dst) {
-      weight_scales_a(a, lda, trans_a, m, k, scales);
-      float* inv = main_arena.alloc_floats(m);
-      for (int i = 0; i < m; ++i)
-        inv[i] = scales[i] > 0.f ? 1.f / scales[i] : 0.f;
-      std::int8_t* st = static_cast<std::int8_t*>(
-          main_arena.alloc_bytes(static_cast<std::size_t>(m) * k));
-      stage_a_int8(a, lda, trans_a, m, k, inv, 0.f, st);
-      for (int i = 0; i < m; ++i) {
-        std::int32_t s = 0;
-        for (int kk = 0; kk < k; ++kk)
-          s += staged_a(st, trans_a, m, k, i, kk);
-        comp[i] = 128 * s;
-      }
-      pack_a_int8(st, trans_a, m, k, /*biased=*/false, dst);
-    };
+    const PackedWeightSpec spec{true, a, m, k, lda, trans_a};
     if (ac) {
-      if (!cache_lookup(ac, a, m, k, lda, trans_a, floats_for_bytes(a_bytes),
-                        GemmPrecision::kInt8)) {
-        ac->scales.assign(static_cast<std::size_t>(m), 0.f);
-        ac->comp.assign(static_cast<std::size_t>(m), 0);
-        ScratchArena::Frame qframe(main_arena);
-        quantize_a(ac->scales.data(), ac->comp.data(),
-                   reinterpret_cast<std::int8_t*>(ac->packed.data()));
-      }
-      ap = reinterpret_cast<const std::int8_t*>(ac->panel_data());
+      ap = static_cast<const std::int8_t*>(
+          slot_image(ac, spec, GemmPrecision::kInt8));
       w_scales = ac->scales.data();
       w_comp = ac->comp.data();
     } else {
@@ -1188,7 +1226,7 @@ void gemm_int8(int m, int n, int k, const float* a, int lda, bool trans_a,
           static_cast<std::size_t>(m) * sizeof(std::int32_t)));
       std::int8_t* buf =
           static_cast<std::int8_t*>(main_arena.alloc_bytes(a_bytes));
-      quantize_a(scales, comp, buf);
+      write_weight_image(spec, GemmPrecision::kInt8, buf, scales, comp);
       ap = buf;
       w_scales = scales;
       w_comp = comp;
@@ -1213,43 +1251,19 @@ void gemm_int8(int m, int n, int k, const float* a, int lda, bool trans_a,
   const std::int8_t* b_full = nullptr;
   const std::int8_t* b_stage = nullptr;
   if (!wa) {
-    const std::size_t b_bytes = static_cast<std::size_t>(npad) * kpad;
-    auto quantize_b = [&](float* scales, std::int32_t* comp,
-                          std::int8_t* dst) {
-      weight_scales_b(b, ldb, trans_b, k, n, scales);
-      float* inv = main_arena.alloc_floats(n);
-      for (int j = 0; j < n; ++j)
-        inv[j] = scales[j] > 0.f ? 1.f / scales[j] : 0.f;
-      std::int8_t* st = static_cast<std::int8_t*>(
-          main_arena.alloc_bytes(static_cast<std::size_t>(k) * n));
-      stage_b_int8(b, ldb, trans_b, k, n, inv, 0.f, st);
-      for (int j = 0; j < n; ++j) {
-        std::int32_t s = 0;
-        for (int kk = 0; kk < k; ++kk)
-          s += staged_b(st, trans_b, k, n, kk, j);
-        comp[j] = 128 * s;
-      }
-      pack_b_int8(st, trans_b, k, n, 0, n, /*biased=*/false, dst);
-    };
+    const PackedWeightSpec spec{false, b, k, n, ldb, trans_b};
     if (bc) {
-      if (!cache_lookup(bc, b, k, n, ldb, trans_b, floats_for_bytes(b_bytes),
-                        GemmPrecision::kInt8)) {
-        bc->scales.assign(static_cast<std::size_t>(n), 0.f);
-        bc->comp.assign(static_cast<std::size_t>(n), 0);
-        ScratchArena::Frame qframe(main_arena);
-        quantize_b(bc->scales.data(), bc->comp.data(),
-                   reinterpret_cast<std::int8_t*>(bc->packed.data()));
-      }
-      b_full = reinterpret_cast<const std::int8_t*>(bc->panel_data());
+      b_full = static_cast<const std::int8_t*>(
+          slot_image(bc, spec, GemmPrecision::kInt8));
       w_scales = bc->scales.data();
       w_comp = bc->comp.data();
     } else {
       float* scales = main_arena.alloc_floats(n);
       std::int32_t* comp = static_cast<std::int32_t*>(main_arena.alloc_bytes(
           static_cast<std::size_t>(n) * sizeof(std::int32_t)));
-      std::int8_t* buf =
-          static_cast<std::int8_t*>(main_arena.alloc_bytes(b_bytes));
-      quantize_b(scales, comp, buf);
+      std::int8_t* buf = static_cast<std::int8_t*>(main_arena.alloc_bytes(
+          static_cast<std::size_t>(npad) * kpad));
+      write_weight_image(spec, GemmPrecision::kInt8, buf, scales, comp);
       b_full = buf;
       w_scales = scales;
       w_comp = comp;
@@ -1434,35 +1448,21 @@ void gemm(int m, int n, int k, const float* a, int lda, bool trans_a,
   ScratchArena::Frame a_frame(main_arena);
   const float* ap;
   if (ac) {
-    if (!cache_lookup(ac, a, m, k, lda, trans_a, a_floats,
-                      GemmPrecision::kFp32))
-      pack_a(a, lda, trans_a, m, k, ac->packed.data());
-    ap = ac->panel_data();
+    ap = static_cast<const float*>(
+        slot_image(ac, {true, a, m, k, lda, trans_a}, GemmPrecision::kFp32));
   } else {
     float* buf = main_arena.alloc_floats(a_floats);
     pack_a(a, lda, trans_a, m, k, buf);
     ap = buf;
   }
 
-  // Cached B uses a canonical stripe-independent layout packed once across
-  // the full width: the Kc block starting at row pc begins at float offset
-  // npad*pc, with its kNr-column panels contiguous inside the block. Since
-  // stripe boundaries are always kNr-aligned, any stripe geometry can
-  // index its panels into the same cached buffer.
+  // Cached B is the canonical full-width image (see write_weight_image):
+  // the Kc block starting at row pc begins at float offset npad*pc.
   const int npad = round_up(n, kNr);
-  const float* b_cached = nullptr;
-  if (bc) {
-    const std::size_t b_floats = static_cast<std::size_t>(npad) * k;
-    if (!cache_lookup(bc, b, k, n, ldb, trans_b, b_floats,
-                      GemmPrecision::kFp32)) {
-      for (int pc = 0; pc < k; pc += kKc) {
-        const int kc = std::min(kKc, k - pc);
-        pack_b(b, ldb, trans_b, pc, kc, 0, n,
-               bc->packed.data() + static_cast<std::size_t>(npad) * pc);
-      }
-    }
-    b_cached = bc->panel_data();
-  }
+  const float* b_cached =
+      bc ? static_cast<const float*>(slot_image(
+               bc, {false, b, k, n, ldb, trans_b}, GemmPrecision::kFp32))
+         : nullptr;
 
   // Column stripes: each worker owns disjoint columns of C and packs its
   // own B panels into its thread-local arena. Stripe geometry is a pure
@@ -1604,62 +1604,10 @@ void export_packed_weights(const PackedWeightSpec& spec, GemmPrecision p,
                            void* dst, float* scales, std::int32_t* comp) {
   ADVP_CHECK_MSG(spec.src && dst && spec.d0 > 0 && spec.d1 > 0,
                  "export_packed_weights: null or degenerate spec");
-  if (p == GemmPrecision::kFp32) {
-    float* out = static_cast<float*>(dst);
-    if (spec.is_a) {
-      pack_a(spec.src, spec.ld, spec.trans, spec.d0, spec.d1, out);
-    } else {
-      // Canonical cached-B layout: the Kc block starting at row pc begins
-      // at element offset npad*pc (same as the warm-cache pack in gemm()).
-      const int npad = round_up(spec.d1, kNr);
-      for (int pc = 0; pc < spec.d0; pc += kKc) {
-        const int kc = std::min(kKc, spec.d0 - pc);
-        pack_b(spec.src, spec.ld, spec.trans, pc, kc, 0, spec.d1,
-               out + static_cast<std::size_t>(npad) * pc);
-      }
-    }
-    return;
-  }
-  // kInt8: the exact quantize-and-pack sequence gemm_int8 runs on a slot
-  // miss, so the exported bytes (and scales/comp) are what a warm slot
-  // would hold.
-  ADVP_CHECK_MSG(scales && comp,
+  ADVP_CHECK_MSG(p == GemmPrecision::kFp32 || (scales && comp),
                  "export_packed_weights: int8 export needs scale/comp "
                  "destinations");
-  ScratchArena& arena = ScratchArena::local();
-  ScratchArena::Frame frame(arena);
-  std::int8_t* out = static_cast<std::int8_t*>(dst);
-  if (spec.is_a) {
-    const int m = spec.d0, k = spec.d1;
-    weight_scales_a(spec.src, spec.ld, spec.trans, m, k, scales);
-    float* inv = arena.alloc_floats(m);
-    for (int i = 0; i < m; ++i)
-      inv[i] = scales[i] > 0.f ? 1.f / scales[i] : 0.f;
-    std::int8_t* st = static_cast<std::int8_t*>(
-        arena.alloc_bytes(static_cast<std::size_t>(m) * k));
-    stage_a_int8(spec.src, spec.ld, spec.trans, m, k, inv, 0.f, st);
-    for (int i = 0; i < m; ++i) {
-      std::int32_t s = 0;
-      for (int kk = 0; kk < k; ++kk) s += staged_a(st, spec.trans, m, k, i, kk);
-      comp[i] = 128 * s;
-    }
-    pack_a_int8(st, spec.trans, m, k, /*biased=*/false, out);
-  } else {
-    const int k = spec.d0, n = spec.d1;
-    weight_scales_b(spec.src, spec.ld, spec.trans, k, n, scales);
-    float* inv = arena.alloc_floats(n);
-    for (int j = 0; j < n; ++j)
-      inv[j] = scales[j] > 0.f ? 1.f / scales[j] : 0.f;
-    std::int8_t* st = static_cast<std::int8_t*>(
-        arena.alloc_bytes(static_cast<std::size_t>(k) * n));
-    stage_b_int8(spec.src, spec.ld, spec.trans, k, n, inv, 0.f, st);
-    for (int j = 0; j < n; ++j) {
-      std::int32_t s = 0;
-      for (int kk = 0; kk < k; ++kk) s += staged_b(st, spec.trans, k, n, kk, j);
-      comp[j] = 128 * s;
-    }
-    pack_b_int8(st, spec.trans, k, n, 0, n, /*biased=*/false, out);
-  }
+  write_weight_image(spec, p, dst, scales, comp);
 }
 
 bool adopt_packed_weights(GemmCacheSlot* slot, const PackedWeightSpec& spec,

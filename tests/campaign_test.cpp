@@ -7,8 +7,9 @@
 //    its own bucket, and to_json round-trips through from_json.
 //  - CampaignEngine: aggregates are bit-identical across shard splits
 //    (1/2/4 ranges) and worker counts; lockstep traces are bit-identical
-//    to the serial oracle across precision tiers x workers x cohort sizes;
-//    cohort refill under scenario-length skew loses nothing.
+//    to the serial oracle across precision tiers x workers x cohort sizes,
+//    and so are CAP scenarios, which leave the cohort; cohort refill under
+//    scenario-length skew loses nothing.
 //  - tools/advp_campaign (via ADVP_CAMPAIGN_BIN): a healthy 2-shard run
 //    merges to the single-process aggregate; a chaos-killed shard makes
 //    the coordinator report the dead range and fail instead of silently
@@ -215,6 +216,35 @@ TEST(CampaignAggregateTest, FromJsonRejectsGarbage) {
   EXPECT_FALSE(CampaignAggregate::from_json("", &out));
   EXPECT_FALSE(CampaignAggregate::from_json("{\"scenarios\": 3}", &out));
   EXPECT_FALSE(CampaignAggregate::from_json("not json at all", &out));
+
+  // An empty aggregate's line with its grid dims and cells swapped out.
+  auto with_grid = [](const std::string& dims, const std::string& cells) {
+    std::string json = CampaignAggregate().to_json();
+    const std::string grid = "\"n_trajectories\":0,\"n_attacks\":0";
+    const std::string empty = "\"cells\":[]";
+    json.replace(json.find(grid), grid.size(), dims);
+    json.replace(json.find(empty), empty.size(), "\"cells\":" + cells);
+    return json;
+  };
+  ASSERT_TRUE(CampaignAggregate::from_json(
+      with_grid("\"n_trajectories\":1,\"n_attacks\":1", "[[1,0,0,0]]"),
+      &out));
+  EXPECT_EQ(out.cells.size(), 1u);
+  // 2^40 cells claimed by a one-cell line: rejected before the table is
+  // sized, not thrown as bad_alloc.
+  EXPECT_FALSE(CampaignAggregate::from_json(
+      with_grid("\"n_trajectories\":1048576,\"n_attacks\":1048576",
+                "[[1,0,0,0]]"),
+      &out));
+  // 2^32 x 2^32 wraps to zero cells in 64 bits.
+  EXPECT_FALSE(CampaignAggregate::from_json(
+      with_grid("\"n_trajectories\":4294967296,\"n_attacks\":4294967296",
+                "[]"),
+      &out));
+  // 2^31 narrows to INT_MIN.
+  EXPECT_FALSE(CampaignAggregate::from_json(
+      with_grid("\"n_trajectories\":2147483648,\"n_attacks\":0", "[]"),
+      &out));
 }
 
 // ---- engine ---------------------------------------------------------------
@@ -392,18 +422,31 @@ TEST_F(CampaignEngineTest, LockstepTracesMatchSerialAcrossPrecisionTiers) {
     expect_traces_identical(got[i], oracle[i], i);
 }
 
-TEST_F(CampaignEngineTest, EagerPathMatchesLockstep) {
-  const MatrixSpec spec = small_spec();
+// CAP queries perception every frame, so its scenarios leave the cohort
+// and run on the runner's own clone (the eager split in the runner's
+// pull). Both halves of a mixed matrix match the serial oracle.
+TEST_F(CampaignEngineTest, CapScenariosMatchSerialAcrossWorkers) {
+  MatrixSpec spec;
+  spec.lighting = {{"noon", 1.f, 0.f, 0.f}};
+  spec.trajectories = short_trajectories();
+  spec.noise_scales = {1.f};
+  spec.attacks = {AttackFamily::kNone, AttackFamily::kCap};
   const std::uint64_t n = spec.size();
-  std::string lockstep_json;
+  ASSERT_EQ(n, 4u);
+
+  std::vector<AccResult> oracle;
   {
     CampaignEngine engine = make_engine(spec);
-    lockstep_json = engine.run_range(0, n).to_json();
+    for (std::uint64_t i = 0; i < n; ++i)
+      oracle.push_back(engine.run_scenario_serial(i));
   }
-  CampaignConfig cfg;
-  cfg.lockstep = false;
-  CampaignEngine engine = make_engine(spec, cfg);
-  EXPECT_EQ(engine.run_range(0, n).to_json(), lockstep_json);
+  for (int workers : {1, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ScopedMaxWorkers scoped(static_cast<std::size_t>(workers));
+    const std::vector<AccResult> got = run_collecting(spec, {});
+    for (std::uint64_t i = 0; i < n; ++i)
+      expect_traces_identical(got[i], oracle[i], i);
+  }
 }
 
 TEST_F(CampaignEngineTest, CohortRefillUnderLengthSkewLosesNothing) {

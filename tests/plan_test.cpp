@@ -1,8 +1,9 @@
 // Execution-plan compiler: bit-identity of compiled plans against the
 // eager walk (Sequential::forward under an InferenceModeScope) across
 // precision tiers, worker counts, and batch sizes; cache invalidation on
-// weight-generation bumps; per-shape plan caching and the slots a cache's
-// plans share; and the zero-steady-state-allocation contract.
+// weight-generation bumps; layers outside the compiled set declining to
+// the eager walk; per-shape plan caching and the slots a cache's plans
+// share; and the zero-steady-state-allocation contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -120,31 +121,59 @@ TEST(PlanBitIdentity, DistNetPredictAcrossTiersWorkersBatches) {
   }
 }
 
-// Layer kinds the two perception models never exercise — Upsample2x,
-// GlobalAvgPool, a standalone (unfused) BatchNorm, a leaky ReLU after a
-// non-conv — compiled and compared against the eager walk directly.
-TEST(PlanBitIdentity, UncommonLayersMatchFused) {
+// ExecPlan compiles what DistNet and TinyYolo contain and nothing else.
+// Any other layer declines the compile: plan_for returns null, so the
+// forward takes the eager walk, and the cache remembers the declined key
+// (one compile attempt however many forwards follow) until a weight-
+// generation bump earns it one more.
+TEST(PlanCacheTest, OtherLayersDeclineOnceAndRetryAfterABump) {
+  auto compile_attempts = [] {
+    for (const obs::SpanStats& span : obs::span_snapshot())
+      if (span.path == "plan_compile") return span.calls;
+    return std::uint64_t{0};
+  };
   Rng rng(9);
-  Sequential net;
-  net.emplace<Conv2d>(3, 8, 3, 1, 1, rng);
-  net.emplace<SiLU>();
-  net.emplace<Upsample2x>();
-  net.emplace<BatchNorm2d>(8);
-  net.emplace<ReLU>(0.1f);
-  net.emplace<MaxPool2x2>();
-  net.emplace<GlobalAvgPool>();
-  net.emplace<Linear>(8, 4, rng);
-
   Rng xr(90);
   const Tensor x = Tensor::rand({3, 3, 16, 16}, xr);
-  std::vector<Module*> layers;
-  for (std::size_t i = 0; i < net.size(); ++i) layers.push_back(&net.child(i));
-  PlanCache cache("custom");
-  InferenceModeScope inference;
-  const Tensor eager = net.forward(x, /*train=*/false);
-  ExecPlan* plan = cache.plan_for(layers, x);
-  ASSERT_NE(plan, nullptr);
-  EXPECT_TRUE(bitwise_equal(plan->execute(x), eager));
+  const char* tails[] = {"upsample", "relu", "pool+batchnorm", "pool+silu"};
+  for (int tail = 0; tail < 4; ++tail) {
+    SCOPED_TRACE(tails[tail]);
+    Sequential net;
+    net.emplace<Conv2d>(3, 8, 3, 1, 1, rng);
+    switch (tail) {
+      case 0:
+        net.emplace<Upsample2x>();
+        break;
+      case 1:
+        net.emplace<ReLU>();
+        break;
+      case 2:
+        net.emplace<MaxPool2x2>();
+        net.emplace<BatchNorm2d>(8);
+        break;
+      case 3:
+        net.emplace<MaxPool2x2>();
+        net.emplace<SiLU>();
+        break;
+    }
+    std::vector<Module*> layers;
+    for (std::size_t i = 0; i < net.size(); ++i)
+      layers.push_back(&net.child(i));
+    PlanCache cache("declined");
+    InferenceModeScope inference;
+    obs::enable();
+    obs::reset();
+    EXPECT_EQ(cache.plan_for(layers, x), nullptr);
+    EXPECT_EQ(cache.plan_for(layers, x), nullptr);
+    EXPECT_EQ(compile_attempts(), 1u);
+    bump_weight_generation();
+    EXPECT_EQ(cache.plan_for(layers, x), nullptr);
+    EXPECT_EQ(cache.plan_for(layers, x), nullptr);
+    EXPECT_EQ(compile_attempts(), 2u);
+    EXPECT_EQ(cache.size(), 0u);
+    obs::enable(false);
+    obs::reset();
+  }
 }
 
 // A plan that fits the slots of a larger plan of its PlanCache runs on
@@ -156,12 +185,14 @@ TEST(PlanCacheTest, SmallerPlansRunOnTheLargestPlansSlots) {
   Rng rng(15);
   Sequential net;
   net.emplace<Conv2d>(3, 8, 3, 1, 1, rng);
-  net.emplace<ReLU>();
+  net.emplace<BatchNorm2d>(8);
+  net.emplace<SiLU>();
   net.emplace<MaxPool2x2>();
   net.emplace<Conv2d>(8, 8, 3, 1, 1, rng);
   net.emplace<SiLU>();
-  net.emplace<GlobalAvgPool>();
-  net.emplace<Linear>(8, 4, rng);
+  net.emplace<MaxPool2x2>();
+  net.emplace<Flatten>();
+  net.emplace<Linear>(8 * 4 * 4, 4, rng);
   std::vector<Module*> layers;
   for (std::size_t i = 0; i < net.size(); ++i) layers.push_back(&net.child(i));
   auto shape = [](int batch) { return std::vector<int>{batch, 3, 16, 16}; };

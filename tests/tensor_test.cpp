@@ -466,7 +466,6 @@ TEST(PoolTest, PlanForwardMatchesEagerWalk) {
   nn::Sequential net;
   net.emplace<nn::Conv2d>(3, 4, 3, 1, 1, rng);
   net.emplace<nn::MaxPool2x2>();
-  net.emplace<nn::ReLU>(0.1f);
   net.emplace<nn::MaxPool2x2>();
   net.emplace<nn::Conv2d>(4, 5, 3, 1, 1, rng);
   std::vector<nn::Module*> layers;

@@ -52,7 +52,6 @@ struct Options {
   std::string noise = "1,2";
   std::string model_path;
   int train_epochs = 0;
-  bool eager = false;
   bool quiet = false;
   bool dry_run = false;
   std::string out;
@@ -75,7 +74,6 @@ void usage() {
       "                   seed-deterministic across shards)\n"
       "  --train E        train the model for E epochs, save as .advp,\n"
       "                   and campaign against it (implies --model path)\n"
-      "  --eager          disable lockstep batching (baseline/debug)\n"
       "  --dry-run        print matrix dims and scenario count, exit\n"
       "  --quiet          suppress heartbeat output\n"
       "  --out PATH       write the merged aggregate JSON to PATH\n");
@@ -104,7 +102,6 @@ bool parse_args(int argc, char** argv, Options* o) {
     else if (a == "--model" && (v = next("--model"))) o->model_path = v;
     else if (a == "--train" && (v = next("--train"))) o->train_epochs = std::atoi(v);
     else if (a == "--out" && (v = next("--out"))) o->out = v;
-    else if (a == "--eager") o->eager = true;
     else if (a == "--quiet") o->quiet = true;
     else if (a == "--dry-run") o->dry_run = true;
     else if (a == "--help" || a == "-h") { usage(); std::exit(0); }
@@ -112,7 +109,7 @@ bool parse_args(int argc, char** argv, Options* o) {
       std::fprintf(stderr, "advp_campaign: unknown option %s\n", a.c_str());
       return false;
     }
-    if (!v && a != "--eager" && a != "--quiet" && a != "--dry-run") return false;
+    if (!v && a != "--quiet" && a != "--dry-run") return false;
   }
   if (o->shard >= 0 && o->shards <= 0) {
     std::fprintf(stderr, "advp_campaign: --shard requires --shards\n");
@@ -221,7 +218,6 @@ camp::CampaignAggregate run_local(const Options& o,
   camp::CampaignConfig cfg;
   cfg.cohort = o.cohort;
   cfg.base_seed = o.seed;
-  cfg.lockstep = !o.eager;
 
   // Chaos hook (tests): shard ADVP_CAMPAIGN_CHAOS_ABORT_SHARD dies without
   // a final aggregate after ADVP_CAMPAIGN_CHAOS_ABORT_AFTER scenarios.
@@ -316,15 +312,14 @@ int run_coordinator(const Options& o, const camp::MatrixSpec& spec,
     std::snprintf(cmd, sizeof(cmd),
                   "%s --shard %d --shards %d --cohort %d --seed %llu "
                   "--scenarios %llu --repeats %llu --lighting %d "
-                  "--attacks %s --noise %s%s%s%s%s",
+                  "--attacks %s --noise %s%s%s%s",
                   bin.c_str(), k, o.shards, o.cohort,
                   static_cast<unsigned long long>(o.seed),
                   static_cast<unsigned long long>(o.scenarios),
                   static_cast<unsigned long long>(o.repeats), o.lighting,
                   o.attacks.c_str(), o.noise.c_str(),
                   o.model_path.empty() ? "" : " --model ",
-                  o.model_path.c_str(), o.eager ? " --eager" : "",
-                  o.quiet ? " --quiet" : "");
+                  o.model_path.c_str(), o.quiet ? " --quiet" : "");
     p.pipe = ::popen(cmd, "r");
     if (!p.pipe) {
       std::fprintf(stderr, "[campaign] failed to spawn shard %d\n", k);
@@ -373,14 +368,17 @@ int run_coordinator(const Options& o, const camp::MatrixSpec& spec,
     }
   }
 
-  // Merge in shard order; a missing aggregate or nonzero exit is a dead
-  // shard — report its range, never silently merge the survivors.
+  // Merge in shard order; a missing or unparsable aggregate, one over
+  // another regime grid, or a nonzero exit is a dead shard — report its
+  // range, never silently merge the survivors.
   bool dead = false;
   camp::CampaignAggregate result(spec);
   for (const ShardProc& p : procs) {
     camp::CampaignAggregate shard_agg;
     if (p.exit_status != 0 || p.aggregate.empty() ||
-        !camp::CampaignAggregate::from_json(p.aggregate, &shard_agg)) {
+        !camp::CampaignAggregate::from_json(p.aggregate, &shard_agg) ||
+        shard_agg.n_trajectories != result.n_trajectories ||
+        shard_agg.n_attacks != result.n_attacks) {
       std::fprintf(stderr,
                    "[campaign] DEAD SHARD %d (exit %d): scenarios "
                    "[%llu, %llu) lost — campaign incomplete\n",
