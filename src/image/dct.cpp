@@ -5,16 +5,23 @@
 #include "core/check.h"
 
 namespace advp {
+namespace {
+
+// Basis function k of the orthonormal n-point DCT-II at position i: the
+// one expression behind both the Dct table and the 2-D basis images.
+float basis_entry(int n, int k, int i) {
+  return static_cast<float>(
+      (k == 0 ? std::sqrt(1.0 / n) : std::sqrt(2.0 / n)) *
+      std::cos(M_PI * (2.0 * i + 1.0) * k / (2.0 * n)));
+}
+
+}  // namespace
 
 Dct::Dct(int n) : n_(n), table_(static_cast<std::size_t>(n) * n) {
   ADVP_CHECK(n > 0);
-  const double scale0 = std::sqrt(1.0 / n);
-  const double scale = std::sqrt(2.0 / n);
   for (int k = 0; k < n; ++k)
     for (int i = 0; i < n; ++i)
-      table_[static_cast<std::size_t>(k) * n + i] = static_cast<float>(
-          (k == 0 ? scale0 : scale) *
-          std::cos(M_PI * (2.0 * i + 1.0) * k / (2.0 * n)));
+      table_[static_cast<std::size_t>(k) * n + i] = basis_entry(n, k, i);
 }
 
 float Dct::basis(int k, int i) const {
@@ -47,11 +54,17 @@ std::vector<float> Dct::inverse(const std::vector<float>& coeffs) const {
 Tensor dct2_basis_image(int h, int w, int u, int v, int channel) {
   ADVP_CHECK(u >= 0 && u < h && v >= 0 && v < w);
   ADVP_CHECK(channel >= 0 && channel < 3);
-  Dct row(h), col(w);
+  // The image reads only row u of the h-point table and row v of the
+  // w-point one: h + w cos calls where whole tables would take h*h + w*w.
+  std::vector<float> col(static_cast<std::size_t>(w));
+  for (int x = 0; x < w; ++x)
+    col[static_cast<std::size_t>(x)] = basis_entry(w, v, x);
   Tensor img({3, h, w});
-  for (int y = 0; y < h; ++y)
+  for (int y = 0; y < h; ++y) {
+    const float row = basis_entry(h, u, y);
     for (int x = 0; x < w; ++x)
-      img.at(channel, y, x) = row.basis(u, y) * col.basis(v, x);
+      img.at(channel, y, x) = row * col[static_cast<std::size_t>(x)];
+  }
   return img;
 }
 

@@ -47,8 +47,11 @@ constexpr int kNc = 1024;
 // Below this many multiply-accumulates the packing setup costs more than
 // it saves; run the plain loop (identical per-element operation order).
 constexpr std::size_t kNaiveMacLimit = 4096;
-// Minimum MACs before the stripe loop fans out to the worker pool.
-constexpr std::size_t kParallelMacLimit = std::size_t{1} << 16;
+// A product fans out to the worker pool only when each column stripe
+// carries at least this many multiply-accumulates (about 0.2 ms of one
+// core at 20 GFLOP/s): a pool hand-off costs tens of microseconds of CPU,
+// more than splitting a smaller product saves.
+constexpr std::size_t kMinStripeMacs = std::size_t{1} << 21;
 
 std::atomic<bool> g_force_portable{false};
 
@@ -67,6 +70,35 @@ bool pack_cache_env_default() {
 }
 
 inline int round_up(int v, int to) { return (v + to - 1) / to * to; }
+
+// Runs body(j0, nw) over column stripes [j0, j0 + nw) covering n columns.
+// A product of `macs` multiply-accumulates splits into
+// min(max_workers(), macs / kMinStripeMacs) kNr-aligned stripes on the
+// pool; when that is 1, or the caller is already inside a parallel region,
+// kNc-wide stripes run in order on the caller. Stripe geometry is a pure
+// scheduling choice: each element's k-accumulation is the same wherever
+// the boundaries fall.
+template <class Body>
+void for_each_stripe(int n, std::size_t macs, const Body& body) {
+  const std::size_t split =
+      in_parallel_region() ? 1
+                           : std::min(max_workers(), macs / kMinStripeMacs);
+  int width = kNc;
+  if (split > 1) {
+    const int per = (n + static_cast<int>(split) - 1) / static_cast<int>(split);
+    width = std::clamp(round_up(per, kNr), kNr, kNc);
+  }
+  const std::size_t stripes =
+      (static_cast<std::size_t>(n) + width - 1) / width;
+  auto run = [&](std::size_t s) {
+    const int j0 = static_cast<int>(s) * width;
+    body(j0, std::min(width, n - j0));
+  };
+  if (split > 1)
+    parallel_for(0, stripes, 1, run);
+  else
+    for (std::size_t s = 0; s < stripes; ++s) run(s);
+}
 
 // op(A)(i, kk) / op(B)(kk, j) under the trans flags.
 inline float a_at(const float* a, int lda, bool trans_a, int i, int kk) {
@@ -1279,21 +1311,7 @@ void gemm_int8(int m, int n, int k, const float* a, int lda, bool trans_a,
 
   const std::size_t macs =
       static_cast<std::size_t>(m) * n * static_cast<std::size_t>(k);
-  const bool fan_out =
-      macs >= kParallelMacLimit && max_workers() > 1 && !in_parallel_region();
-  int stripe_w = kNc;
-  if (fan_out) {
-    const int per_worker =
-        (n + static_cast<int>(max_workers()) - 1) /
-        static_cast<int>(max_workers());
-    stripe_w = std::clamp(round_up(per_worker, kNr), kNr, kNc);
-  }
-  const std::size_t stripes =
-      (static_cast<std::size_t>(n) + stripe_w - 1) / stripe_w;
-
-  auto run_stripe = [&](std::size_t s) {
-    const int j0 = static_cast<int>(s) * stripe_w;
-    const int nw = std::min(stripe_w, n - j0);
+  for_each_stripe(n, macs, [&](int j0, int nw) {
     const int nw_pad = round_up(nw, kNr);
     ScratchArena& arena = ScratchArena::local();
     ScratchArena::Frame frame(arena);
@@ -1346,12 +1364,7 @@ void gemm_int8(int m, int n, int k, const float* a, int lda, bool trans_a,
         if (ep) apply_epilogue(*ep, cptr, ldc, row, j0 + jp, mr, nr);
       }
     }
-  };
-
-  if (fan_out && stripes > 1)
-    parallel_for(0, stripes, 1, run_stripe);
-  else
-    for (std::size_t s = 0; s < stripes; ++s) run_stripe(s);
+  });
 }
 
 }  // namespace
@@ -1464,25 +1477,9 @@ void gemm(int m, int n, int k, const float* a, int lda, bool trans_a,
                bc, {false, b, k, n, ldb, trans_b}, GemmPrecision::kFp32))
          : nullptr;
 
-  // Column stripes: each worker owns disjoint columns of C and packs its
-  // own B panels into its thread-local arena. Stripe geometry is a pure
-  // scheduling choice — every output element's k-accumulation is the same
-  // regardless of where the stripe boundaries fall.
-  const bool fan_out =
-      macs >= kParallelMacLimit && max_workers() > 1 && !in_parallel_region();
-  int stripe_w = kNc;
-  if (fan_out) {
-    const int per_worker =
-        (n + static_cast<int>(max_workers()) - 1) /
-        static_cast<int>(max_workers());
-    stripe_w = std::clamp(round_up(per_worker, kNr), kNr, kNc);
-  }
-  const std::size_t stripes =
-      (static_cast<std::size_t>(n) + stripe_w - 1) / stripe_w;
-
-  auto run_stripe = [&](std::size_t s) {
-    const int j0 = static_cast<int>(s) * stripe_w;
-    const int nw = std::min(stripe_w, n - j0);
+  // Column stripes: each owns disjoint columns of C and packs its own B
+  // panels into its thread's arena.
+  for_each_stripe(n, macs, [&](int j0, int nw) {
     const int nw_pad = round_up(nw, kNr);
     ScratchArena& arena = ScratchArena::local();
     ScratchArena::Frame frame(arena);
@@ -1532,12 +1529,7 @@ void gemm(int m, int n, int k, const float* a, int lda, bool trans_a,
         }
       }
     }
-  };
-
-  if (fan_out && stripes > 1)
-    parallel_for(0, stripes, 1, run_stripe);
-  else
-    for (std::size_t s = 0; s < stripes; ++s) run_stripe(s);
+  });
 }
 
 void transpose_blocked(const float* src, int m, int n, float* dst) {

@@ -13,8 +13,10 @@
 //  - tools/advp_campaign (via ADVP_CAMPAIGN_BIN): a healthy 2-shard run
 //    merges to the single-process aggregate; a chaos-killed shard makes
 //    the coordinator report the dead range and fail instead of silently
-//    merging partial results.
+//    merging partial results; `--cohort 0` exits 2 as a usage error.
 #include <gtest/gtest.h>
+
+#include <sys/wait.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -541,6 +543,17 @@ TEST(CampaignCliTest, KilledShardReportsDeadRangeAndFails) {
   // The coordinator must not write a merged aggregate from partial data.
   EXPECT_TRUE(slurp(out).empty());
   std::remove(err.c_str());
+}
+
+// A cohort below 1 is a usage error (exit 2), caught before any engine or
+// shard is built, not an exception out of main.
+TEST(CampaignCliTest, CohortBelowOneIsAUsageError) {
+  const std::string cmd = std::string(ADVP_CAMPAIGN_BIN) +
+                          " --cohort 0 --lighting 1 --noise 1 --attacks none"
+                          " --quiet 2> /dev/null";
+  const int status = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << "status " << status;
+  EXPECT_EQ(WEXITSTATUS(status), 2);
 }
 
 #endif  // ADVP_CAMPAIGN_BIN

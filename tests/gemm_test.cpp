@@ -47,6 +47,20 @@ struct ForcePortable {
   ~ForcePortable() { gemm_detail::force_portable(false); }
 };
 
+// Multi-worker pool dispatches issued while f runs (always 0 under
+// ADVP_TRACE=0, which keeps the counters off).
+template <class F>
+std::uint64_t dispatches_during(const F& f) {
+  obs::enable(true);
+  const std::uint64_t before =
+      obs::counter_value(obs::Counter::kParallelDispatches);
+  f();
+  const std::uint64_t after =
+      obs::counter_value(obs::Counter::kParallelDispatches);
+  obs::enable(false);
+  return after - before;
+}
+
 TEST(GemmTest, MatchesReferenceAcrossShapesAndTransposes) {
   Rng rng(101);
   const std::vector<int> sizes = {1, 3, 7, 17, 64, 65};
@@ -133,6 +147,85 @@ TEST(GemmTest, BitIdenticalAcrossWorkerCounts) {
     gemm(m, n, k, a.data(), k, false, b.data(), n, false, cw.data(), n);
     for (std::size_t i = 0; i < c1.numel(); ++i)
       ASSERT_EQ(c1[i], cw[i]) << "workers=" << workers << " element " << i;
+  }
+}
+
+// A product splits into min(workers, MACs / 2^21) column stripes, so at 4
+// workers 2^21 MACs stay on the caller and 2^22 take one dispatch; inside
+// a parallel region nothing splits. Every split is bit-identical to the
+// caller's run.
+TEST(GemmTest, FansOutOnlyWhenEveryStripeCarriesTheFloor) {
+  if (obs::trace_disabled()) GTEST_SKIP() << "ADVP_TRACE=0";
+  Rng rng(107);
+  const int m = 16, k = 128;
+  for (const int n : {1024, 2048}) {
+    Tensor a = Tensor::randn({m, k}, rng);
+    Tensor b = Tensor::randn({k, n}, rng);
+    Tensor c1({m, n});
+    {
+      ScopedMaxWorkers one(1);
+      gemm(m, n, k, a.data(), k, false, b.data(), n, false, c1.data(), n);
+    }
+    ScopedMaxWorkers four(4);
+    Tensor c4({m, n});
+    const std::uint64_t split = dispatches_during([&] {
+      gemm(m, n, k, a.data(), k, false, b.data(), n, false, c4.data(), n);
+    });
+    EXPECT_EQ(split, n == 1024 ? 0u : 1u) << "n=" << n;
+    EXPECT_TRUE(std::memcmp(c1.data(), c4.data(),
+                            c1.numel() * sizeof(float)) == 0)
+        << "n=" << n;
+    // Two products from one parallel_for: its own dispatch is the only one.
+    std::vector<Tensor> cs(2, Tensor({m, n}));
+    const std::uint64_t nested = dispatches_during([&] {
+      parallel_for(0, 2, [&](std::size_t i) {
+        gemm(m, n, k, a.data(), k, false, b.data(), n, false, cs[i].data(),
+             n);
+      });
+    });
+    EXPECT_EQ(nested, 1u) << "n=" << n;
+    for (const Tensor& c : cs)
+      EXPECT_TRUE(std::memcmp(c1.data(), c.data(),
+                              c1.numel() * sizeof(float)) == 0)
+          << "n=" << n;
+  }
+}
+
+// The int8 driver's explicit-B paths above the stripe floor: activations in
+// B (staged, quantized once, interleaved per stripe) and weights in B (the
+// canonical full-width image, per-column dequant offset by the stripe's
+// first column). At 4 workers each splits into 4 stripes of 160 columns
+// and must match the caller's single stripe bit for bit.
+TEST(GemmTest, Int8ExplicitBBitIdenticalAcrossStripes) {
+  Rng rng(108);
+  const int m = 64, k = 256, n = 640;  // 10.5M MACs
+  const Tensor a = Tensor::randn({m, k}, rng);
+  const Tensor b = Tensor::randn({k, n}, rng);
+  const Tensor bt = transpose(b);  // [n, k], weights stored like a Linear's
+  for (const bool weights_in_a : {true, false}) {
+    GemmExtra extra;
+    extra.precision = GemmPrecision::kInt8;
+    extra.weights_in_a = weights_in_a;
+    extra.act_scale = 4.f / 127.f;
+    const float* bsrc = weights_in_a ? b.data() : bt.data();
+    const int ldb = weights_in_a ? n : k;
+    Tensor c1({m, n}), c4({m, n});
+    {
+      ScopedMaxWorkers one(1);
+      gemm(m, n, k, a.data(), k, false, bsrc, ldb, !weights_in_a, c1.data(),
+           n, false, extra);
+    }
+    ScopedMaxWorkers four(4);
+    const std::uint64_t dispatched = dispatches_during([&] {
+      gemm(m, n, k, a.data(), k, false, bsrc, ldb, !weights_in_a, c4.data(),
+           n, false, extra);
+    });
+    if (!obs::trace_disabled()) {
+      EXPECT_EQ(dispatched, 1u) << "weights_in_a=" << weights_in_a;
+    }
+    EXPECT_TRUE(std::memcmp(c1.data(), c4.data(),
+                            c1.numel() * sizeof(float)) == 0)
+        << "weights_in_a=" << weights_in_a;
   }
 }
 
@@ -375,7 +468,8 @@ TEST(GemmPackCacheTest, ACacheReusedAndInvalidatedByGeneration) {
   ForcePackCache on(1);
   ScopedMaxWorkers three(3);
   Rng rng(203);
-  const int m = 48, k = 96, n = 200;  // blocked path
+  // 6.5M MACs: the stripes that read the cached A split over 3 workers.
+  const int m = 48, k = 96, n = 1400;
   Tensor a = Tensor::randn({m, k}, rng);
   Tensor b = Tensor::randn({k, n}, rng);
   const std::vector<float> want =
@@ -387,10 +481,15 @@ TEST(GemmPackCacheTest, ACacheReusedAndInvalidatedByGeneration) {
   gemm(m, n, k, a.data(), k, false, b.data(), n, false, c1.data(), n,
        false, extra);
   for (std::size_t i = 0; i < c1.numel(); ++i) ASSERT_EQ(c1[i], want[i]);
-  // Warm call: served from the slot, bit-identical.
+  // Warm call: served from the slot to every stripe, bit-identical.
   Tensor c2({m, n});
-  gemm(m, n, k, a.data(), k, false, b.data(), n, false, c2.data(), n,
-       false, extra);
+  const std::uint64_t dispatched = dispatches_during([&] {
+    gemm(m, n, k, a.data(), k, false, b.data(), n, false, c2.data(), n,
+         false, extra);
+  });
+  if (!obs::trace_disabled()) {
+    EXPECT_EQ(dispatched, 1u);
+  }
   for (std::size_t i = 0; i < c2.numel(); ++i) ASSERT_EQ(c2[i], c1[i]);
   // Proof the cache is actually hot: an in-place edit of A without a
   // generation bump keeps serving the stale pack...
@@ -412,7 +511,9 @@ TEST(GemmPackCacheTest, ACacheReusedAndInvalidatedByGeneration) {
 TEST(GemmPackCacheTest, BCacheIsStripeGeometryIndependent) {
   ForcePackCache on(1);
   Rng rng(204);
-  const int m = 8, k = 300, n = 384;  // wide B, Linear-like
+  // Wide B, Linear-like; 10.6M MACs, so the warm reads split into 2 and 5
+  // stripes, neither on the cold read's stripe boundaries.
+  const int m = 32, k = 300, n = 1100;
   Tensor a = Tensor::randn({m, k}, rng);
   Tensor b = Tensor::randn({n, k}, rng);  // stored transposed, like W
   const std::vector<float> want =
@@ -432,8 +533,13 @@ TEST(GemmPackCacheTest, BCacheIsStripeGeometryIndependent) {
   for (const std::size_t workers : {std::size_t{2}, std::size_t{5}}) {
     ScopedMaxWorkers w(workers);
     Tensor cw({m, n});
-    gemm(m, n, k, a.data(), k, false, b.data(), k, true, cw.data(), n,
-         false, extra);
+    const std::uint64_t dispatched = dispatches_during([&] {
+      gemm(m, n, k, a.data(), k, false, b.data(), k, true, cw.data(), n,
+           false, extra);
+    });
+    if (!obs::trace_disabled()) {
+      EXPECT_EQ(dispatched, 1u) << "workers=" << workers;
+    }
     for (std::size_t i = 0; i < cw.numel(); ++i)
       ASSERT_EQ(cw[i], c1[i]) << "workers=" << workers << " element " << i;
   }

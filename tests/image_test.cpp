@@ -550,6 +550,33 @@ TEST(DctTest, Basis2dImagesUnitNormAndOrthogonal) {
   EXPECT_NEAR(b12.dot(b12c1), 0.f, 1e-5f);  // different channels
 }
 
+// dct2_basis_image computes only the two table rows it reads; every float
+// must keep the bits of the product of the full Dct tables' entries, and
+// every other channel must stay zero.
+TEST(DctTest, Basis2dImageMatchesDctTableProductBitwise) {
+  struct Size {
+    int h, w, stride;  // stride: visit every stride-th (u, v)
+  };
+  for (const Size sz : {Size{8, 8, 1}, Size{6, 10, 1}, Size{48, 48, 7},
+                        Size{48, 96, 11}}) {
+    const Dct row(sz.h), col(sz.w);
+    for (int u = 0; u < sz.h; u += sz.stride)
+      for (int v = 0; v < sz.w; v += sz.stride)
+        for (int c = 0; c < 3; ++c) {
+          const Tensor img = dct2_basis_image(sz.h, sz.w, u, v, c);
+          Tensor want({3, sz.h, sz.w});
+          for (int y = 0; y < sz.h; ++y)
+            for (int x = 0; x < sz.w; ++x)
+              want.at(c, y, x) = row.basis(u, y) * col.basis(v, x);
+          ASSERT_EQ(std::memcmp(img.data(), want.data(),
+                                want.numel() * sizeof(float)),
+                    0)
+              << sz.h << "x" << sz.w << " u=" << u << " v=" << v
+              << " channel " << c;
+        }
+  }
+}
+
 TEST(DctTest, Dct2RoundTrip) {
   Rng rng(9);
   const int h = 6, w = 10;

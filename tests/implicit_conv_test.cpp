@@ -41,7 +41,23 @@ float absmax_of(const Tensor& t) {
 struct Geo {
   int c_in, h, w, kernel, stride, pad, items;
   const char* name;
+  // Above the GEMM's per-stripe floor: the 4-worker calls must dispatch.
+  bool splits = false;
 };
+
+// Multi-worker pool dispatches issued while f runs (always 0 under
+// ADVP_TRACE=0, which keeps the counters off).
+template <class F>
+std::uint64_t dispatches_during(const F& f) {
+  obs::enable();
+  const std::uint64_t before =
+      obs::counter_value(obs::Counter::kParallelDispatches);
+  f();
+  const std::uint64_t after =
+      obs::counter_value(obs::Counter::kParallelDispatches);
+  obs::enable(false);
+  return after - before;
+}
 
 PackSource pack_source(const Tensor& x, const Conv2dSpec& s) {
   PackSource ps;
@@ -90,7 +106,10 @@ std::vector<float> stage_cols(const Tensor& x, const Conv2dSpec& s) {
 // The gather's run table splits columns at output-row and kNr-panel
 // boundaries, so the geometries cover out_w below, at and above one panel
 // (kNr is 32 on AVX-512 builds, 16 elsewhere), a second Kc panel that
-// starts mid-kernel (k = 288 > kKc = 256), and TinyYolo's 1x1 head.
+// starts mid-kernel (k = 288 > kKc = 256), and TinyYolo's 1x1 head. The
+// last one carries enough MACs to split over 4 workers: the forward into
+// 4 stripes of 544 columns (starting mid output row) and the weight
+// gradient into stripes of 96 or 80 taps, by kNr (starting mid-kernel).
 const Geo kGeos[] = {
     {5, 16, 16, 3, 1, 1, 3, "k3s1p1"},
     {5, 17, 13, 3, 2, 1, 2, "k3s2p1 non-square"},
@@ -102,6 +121,7 @@ const Geo kGeos[] = {
     {32, 12, 12, 3, 1, 1, 2, "k3s1p1 c_in 32 (Kc panel starts mid-kernel)"},
     {4, 11, 14, 5, 1, 2, 2, "k5s1p2"},
     {64, 6, 6, 1, 1, 0, 1, "k1s1p0 6x6 head"},
+    {32, 45, 48, 3, 1, 1, 1, "k3s1p1 c_in 32 45x48 (split stripes)", true},
 };
 
 Conv2dSpec spec_for(const Geo& g, int out_channels) {
@@ -156,12 +176,17 @@ TEST(ImplicitGemmPack, BitIdenticalToStagedAcrossGeometriesTiersWorkers) {
         GemmExtra implicit = extra;
         implicit.b_pack = &ps;
         Tensor c_implicit({m, n});
-        gemm(m, n, patch, a.data(), patch, /*trans_a=*/false,
-             /*b=*/nullptr, n, /*trans_b=*/false, c_implicit.data(), n,
-             /*accumulate=*/false, implicit);
+        const std::uint64_t dispatched = dispatches_during([&] {
+          gemm(m, n, patch, a.data(), patch, /*trans_a=*/false,
+               /*b=*/nullptr, n, /*trans_b=*/false, c_implicit.data(), n,
+               /*accumulate=*/false, implicit);
+        });
 
         EXPECT_TRUE(bitwise_equal(c_staged, c_implicit))
             << g.name << ", tier " << tier.name << ", workers " << workers;
+        if (g.splits && workers == 4 && !obs::trace_disabled()) {
+          EXPECT_EQ(dispatched, 1u) << g.name << ", tier " << tier.name;
+        }
       }
     }
   }
@@ -202,7 +227,7 @@ TEST(ImplicitGemmPack, NaiveFallbackGathersIdenticalDenseMatrix) {
 // The weight gradient's operand: a transposed PackSource is op(B) =
 // cols^T, k output pixels by n patch taps. gemm() through it must give the
 // bits of gemm() with trans_b on the staged column matrix, at 1 and 4
-// workers (a batch-1 product fans out over tap stripes), on every
+// workers (a large enough product fans out over tap stripes), on every
 // geometry above, a pixel range of three Kc blocks whose boundaries fall
 // inside output rows, and fewer than 8 taps (the naive fallback).
 TEST(ImplicitGemmPack, TransposedSourceMatchesStagedTransB) {
@@ -230,11 +255,16 @@ TEST(ImplicitGemmPack, TransposedSourceMatchesStagedTransB) {
       GemmExtra extra;
       extra.b_pack = &ps;
       Tensor c_implicit({m, taps});
-      gemm(m, taps, pixels, dy.data(), pixels, /*trans_a=*/false,
-           /*b=*/nullptr, taps, /*trans_b=*/false, c_implicit.data(), taps,
-           /*accumulate=*/false, extra);
+      const std::uint64_t dispatched = dispatches_during([&] {
+        gemm(m, taps, pixels, dy.data(), pixels, /*trans_a=*/false,
+             /*b=*/nullptr, taps, /*trans_b=*/false, c_implicit.data(), taps,
+             /*accumulate=*/false, extra);
+      });
       EXPECT_TRUE(bitwise_equal(c_staged, c_implicit))
           << g.name << ", workers " << workers;
+      if (g.splits && workers == 4 && !obs::trace_disabled()) {
+        EXPECT_EQ(dispatched, 1u) << g.name;
+      }
     }
   }
 }

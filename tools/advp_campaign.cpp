@@ -115,6 +115,10 @@ bool parse_args(int argc, char** argv, Options* o) {
     std::fprintf(stderr, "advp_campaign: --shard requires --shards\n");
     return false;
   }
+  if (o->cohort < 1) {
+    std::fprintf(stderr, "advp_campaign: --cohort must be >= 1\n");
+    return false;
+  }
   return true;
 }
 

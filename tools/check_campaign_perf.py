@@ -20,11 +20,11 @@ Machine-independent (hard, every runner):
   a fill near 1/cohort means the batch degenerated into stale rows.
 
 Machine-keyed throughput floor (lockstep_vs_serial = lockstep cohort-8
-scenarios/second over the 1-worker run_batch loop): stacking C lanes into
-one batch-C forward feeds the GEMM kernels C-fold wider work — enough
-parallel columns to use several cores, which is the point of lockstep. A
-single-core runner cannot show that win (batch-C im2col even costs a
-little locality), so the floor follows the recorded `max_workers` per
+scenarios/second over the 1-worker run_batch loop): one runner per worker
+steps its own cohort, and stacking C lanes into one batch-C forward
+spreads each layer's per-call cost over C frames — enough to use several
+cores, which is the point of lockstep. A single-core runner cannot show
+that win, so the floor follows the recorded `max_workers` per
 perf_common.FLOOR_BY_WORKERS:
 
     >= 4 workers: 2.0        (the ISSUE's gate: lockstep >= 2x run_batch)

@@ -21,6 +21,10 @@ gain.
   spend.
 - core.scratch_grows_per_op: steady-state heap growth of the scratch
   arenas (0: warm ops allocate nothing).
+- core.pool_dispatches_per_op: multi-worker parallel_for hand-offs. The
+  pool is pinned at two workers, so which products split into column
+  stripes (those of at least 2 * 2^21 MACs) and which loops fan their
+  items out is fixed by the op list, not by the machine.
 - tensor.pack_bytes_per_op: bytes written into packed GEMM panels. The
   panel width follows the GEMM register tile (8x32 on avx512, 6x16
   otherwise), so this one is compared only when the run's `# meta gemm=`
@@ -41,6 +45,7 @@ GATED = [
     "tensor.im2col_staged_bytes_per_op",
     "attacks.oracle_calls_per_op",
     "core.scratch_grows_per_op",
+    "core.pool_dispatches_per_op",
 ]
 BACKEND_GATED = ["tensor.pack_bytes_per_op"]
 

@@ -19,11 +19,11 @@ Machine-independent (hard, every runner):
 
 Machine-keyed throughput floor (batched_vs_serial = batched_rps over the
 single-thread serial loop): coalescing turns eight batch-1 forwards into
-one batch-8 forward whose GEMMs have 8x the columns — enough parallel work
-to use several cores, which is the whole point of dynamic batching. A
-single-core runner cannot show that win (whole-batch im2col even hurts
-locality a little), so the floor follows the recorded `max_workers` per
-perf_common.FLOOR_BY_WORKERS:
+one batch-8 forward whose conv items fan out over the pool (a batch-1
+forward runs on one thread: none of its GEMMs is large enough to split)
+— enough parallel work to use several cores, which is the whole point of
+dynamic batching. A single-core runner cannot show that win, so the floor
+follows the recorded `max_workers` per perf_common.FLOOR_BY_WORKERS:
 
     >= 4 workers: 2.0        (the ISSUE's gate: batched >= 2x serial)
     2-3 workers:  1.2
