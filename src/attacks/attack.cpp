@@ -37,20 +37,6 @@ Tensor stack_batch(const std::vector<Tensor>& items) {
   return out;
 }
 
-Tensor batch_item(const Tensor& batch, int i) {
-  ADVP_CHECK_MSG(batch.rank() >= 1 && i >= 0 && i < batch.dim(0),
-                 "batch_item: index out of range");
-  std::vector<int> shape;
-  for (int d = 0; d < batch.rank(); ++d) shape.push_back(batch.dim(d));
-  shape[0] = 1;
-  Tensor out(shape);
-  const std::size_t stride = out.numel();
-  std::copy(batch.data() + static_cast<std::size_t>(i) * stride,
-            batch.data() + static_cast<std::size_t>(i + 1) * stride,
-            out.data());
-  return out;
-}
-
 void apply_mask(Tensor& t, const Tensor& mask) {
   if (mask.empty()) return;
   ADVP_CHECK_MSG(t.same_shape(mask), "apply_mask: shape mismatch");

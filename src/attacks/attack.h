@@ -31,20 +31,9 @@ struct LossGrad {
 using GradOracle = std::function<LossGrad(const Tensor& x)>;
 /// @brief Black-box oracle: scalar score to descend (no gradients).
 using ScoreOracle = std::function<float(const Tensor& x)>;
-/// @brief Batched black-box oracle: per-item scores for an [N,3,H,W]
-/// batch in one forward pass. Each item still counts as one query.
-using BatchScoreOracle = std::function<std::vector<float>(const Tensor& x)>;
-/// @brief Batched white-box oracle: per-candidate losses and input
-/// gradients for an [N,3,H,W] batch in one forward/backward pass. Entry
-/// i's grad is the [1,3,H,W] gradient of candidate i's own loss (the
-/// oracle's objective must decompose per item). Each candidate still
-/// counts as one oracle call — batching buys wall-clock, not budget.
-using BatchGradOracle = std::function<std::vector<LossGrad>(const Tensor& x)>;
 
-/// @brief Stacks same-shape [1,...] candidates into one [N,...] batch.
+/// @brief Stacks same-shape [1,...] tensors into one [N,...] batch.
 Tensor stack_batch(const std::vector<Tensor>& items);
-/// @brief Copies item `i` of an [N,...] batch out as a [1,...] tensor.
-Tensor batch_item(const Tensor& batch, int i);
 
 /// @brief Builds a {0,1} mask tensor of shape [1,3,h,w] covering `roi`.
 /// @param h Image height in pixels.

@@ -27,8 +27,7 @@ std::vector<int> checkpoints(int steps) {
 }  // namespace
 
 AutoPgdResult auto_pgd(const Tensor& x, const AutoPgdParams& params,
-                       const GradOracle& oracle, const Tensor& mask,
-                       const BatchGradOracle& batch_oracle) {
+                       const GradOracle& oracle, const Tensor& mask) {
   ADVP_CHECK(params.steps >= 2);
   const auto ckpts = checkpoints(params.steps);
 
@@ -91,36 +90,14 @@ AutoPgdResult auto_pgd(const Tensor& x, const AutoPgdParams& params,
 
     x_prev = x_cur;
     x_cur = std::move(x_next);
-    float z_loss = 0.f;
-    bool have_z_loss = false;
-    if (batch_oracle) {
-      // Candidate pair {z, x_{k+1}} in one stacked forward. Only the
-      // momentum iterate's gradient drives the trajectory; z's loss feeds
-      // best-tracking below.
-      std::vector<LossGrad> pair = batch_oracle(stack_batch({z, x_cur}));
-      ADVP_CHECK_MSG(pair.size() == 2,
-                     "auto_pgd: batch oracle returned " << pair.size()
-                                                        << " results for 2");
-      res.oracle_calls += 2;
-      z_loss = pair[0].loss;
-      have_z_loss = true;
-      lg = std::move(pair[1]);
-    } else {
-      lg = oracle(x_cur);
-      ++res.oracle_calls;
-    }
+    lg = oracle(x_cur);
+    ++res.oracle_calls;
     const float f_next = lg.loss;
     if (f_next > f_cur) ++successes;
     f_cur = f_next;
     if (f_cur > res.best_loss) {
       res.best_loss = f_cur;
       res.x_adv = x_cur;
-    }
-    // The extra z evaluation can only improve the best (checked after
-    // x_{k+1} so serial-visible tie decisions are unchanged).
-    if (have_z_loss && z_loss > res.best_loss) {
-      res.best_loss = z_loss;
-      res.x_adv = z;
     }
 
     // Checkpoint logic.

@@ -23,22 +23,13 @@ struct AutoPgdResult {
   Tensor x_adv;      ///< best iterate found
   float best_loss = 0.f;
   int step_halvings = 0;
-  int oracle_calls = 0;  ///< white-box evaluations consumed (each batch
-                         ///< item counts as one call)
+  int oracle_calls = 0;  ///< white-box evaluations consumed
 };
 
 /// @brief Runs Auto-PGD, ascending the oracle's loss inside the L-inf
 /// ball of radius params.eps around x.
-///
-/// With `batch_oracle` set, each iteration evaluates its step-size
-/// candidate pair {z_k, x_{k+1}} as one stacked 2-item forward instead of
-/// evaluating x_{k+1} alone. The iterate trajectory is identical to the
-/// serial path (z_k's gradient is never consumed), but best-tracking also
-/// sees z_k — the result can only improve — and each iteration charges 2
-/// oracle calls instead of 1. Off (null) preserves the recorded goldens.
 AutoPgdResult auto_pgd(const Tensor& x, const AutoPgdParams& params,
-                       const GradOracle& oracle, const Tensor& mask = Tensor(),
-                       const BatchGradOracle& batch_oracle = nullptr);
+                       const GradOracle& oracle, const Tensor& mask = Tensor());
 
 /// Plain PGD baseline (fixed step, no momentum) — the ablation partner in
 /// bench/micro_overhead (DESIGN.md §6.2).

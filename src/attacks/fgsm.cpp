@@ -1,7 +1,5 @@
 #include "attacks/fgsm.h"
 
-#include "core/check.h"
-
 namespace advp::attacks {
 
 Tensor fgsm(const Tensor& x, const FgsmParams& params,
@@ -15,71 +13,6 @@ Tensor fgsm(const Tensor& x, const FgsmParams& params,
   adv += step;
   adv.clamp(0.f, 1.f);
   return adv;
-}
-
-FgsmRestartResult fgsm_restarts(const Tensor& x, const FgsmParams& params,
-                                int restarts, Rng& rng,
-                                const GradOracle& oracle, const Tensor& mask,
-                                const BatchGradOracle& batch_oracle) {
-  ADVP_CHECK(restarts >= 0);
-  std::vector<int> shape;
-  for (int d = 0; d < x.rank(); ++d) shape.push_back(x.dim(d));
-
-  // All starts are drawn before any oracle work so sequential and batched
-  // evaluation consume identical RNG streams.
-  std::vector<Tensor> starts;
-  starts.reserve(static_cast<std::size_t>(restarts) + 1);
-  starts.push_back(x);
-  for (int r = 0; r < restarts; ++r) {
-    Tensor delta = Tensor::rand(shape, rng, -params.eps, params.eps);
-    apply_mask(delta, mask);
-    Tensor s = x;
-    s += delta;
-    s.clamp(0.f, 1.f);
-    starts.push_back(std::move(s));
-  }
-
-  auto eval = [&](const std::vector<Tensor>& pts) {
-    std::vector<LossGrad> out;
-    if (batch_oracle) {
-      out = batch_oracle(stack_batch(pts));
-      ADVP_CHECK_MSG(out.size() == pts.size(),
-                     "fgsm_restarts: batch oracle returned "
-                         << out.size() << " results for " << pts.size()
-                         << " candidates");
-    } else {
-      out.reserve(pts.size());
-      for (const Tensor& p : pts) out.push_back(oracle(p));
-    }
-    return out;
-  };
-
-  // Round 1: gradient at every start -> sign step, projected onto the
-  // eps-ball around the clean image.
-  std::vector<LossGrad> grads = eval(starts);
-  std::vector<Tensor> cands;
-  cands.reserve(starts.size());
-  for (std::size_t i = 0; i < starts.size(); ++i) {
-    Tensor step = grads[i].grad.map(
-        [](float g) { return g > 0.f ? 1.f : (g < 0.f ? -1.f : 0.f); });
-    step *= params.eps;
-    apply_mask(step, mask);
-    Tensor cand = starts[i];
-    cand += step;
-    project_linf(cand, x, params.eps, mask);
-    cands.push_back(std::move(cand));
-  }
-
-  // Round 2: score every stepped candidate; keep the strict argmax.
-  std::vector<LossGrad> scores = eval(cands);
-  FgsmRestartResult res;
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < scores.size(); ++i)
-    if (scores[i].loss > scores[best].loss) best = i;
-  res.x_adv = std::move(cands[best]);
-  res.best_loss = scores[best].loss;
-  res.oracle_calls = 2 * (restarts + 1);
-  return res;
 }
 
 }  // namespace advp::attacks

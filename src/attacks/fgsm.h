@@ -3,7 +3,6 @@
 #pragma once
 
 #include "attacks/attack.h"
-#include "core/rng.h"
 
 namespace advp::attacks {
 
@@ -13,28 +12,5 @@ struct FgsmParams {
 
 Tensor fgsm(const Tensor& x, const FgsmParams& params,
             const GradOracle& oracle, const Tensor& mask = Tensor());
-
-struct FgsmRestartResult {
-  Tensor x_adv;           ///< highest-loss stepped candidate
-  float best_loss = 0.f;  ///< oracle loss at x_adv
-  int oracle_calls = 0;   ///< 2 * (restarts + 1): grad round + score round
-};
-
-/// @brief FGSM with random restarts: one sign step from the clean image
-/// and from `restarts` uniform points of the eps-ball, keeping the stepped
-/// candidate with the highest oracle loss (ties resolve to the earliest
-/// candidate; candidate 0 is the plain-FGSM step).
-///
-/// Evaluation runs in two rounds — gradients at every start, then loss
-/// scoring of every stepped candidate — so when `batch_oracle` is given
-/// each round collapses into one stacked forward/backward. Results are
-/// bit-identical either way (starts are drawn from `rng` before any
-/// oracle work, and batched per-item numerics match single-image passes);
-/// oracle_calls charges each candidate per round in both modes.
-FgsmRestartResult fgsm_restarts(const Tensor& x, const FgsmParams& params,
-                                int restarts, Rng& rng,
-                                const GradOracle& oracle,
-                                const Tensor& mask = Tensor(),
-                                const BatchGradOracle& batch_oracle = nullptr);
 
 }  // namespace advp::attacks

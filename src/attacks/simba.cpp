@@ -58,8 +58,7 @@ class BasisSampler {
 }  // namespace
 
 SimbaResult simba(const Tensor& x, const SimbaParams& params,
-                  const ScoreOracle& oracle, Rng& rng, const Tensor& mask,
-                  const BatchScoreOracle& batch_oracle) {
+                  const ScoreOracle& oracle, Rng& rng, const Tensor& mask) {
   ADVP_CHECK(x.rank() == 4 && x.dim(0) == 1 && x.dim(1) == 3);
   SimbaResult res;
   res.x_adv = x;
@@ -72,32 +71,6 @@ SimbaResult simba(const Tensor& x, const SimbaParams& params,
     Tensor q = sampler.next();
     apply_mask(q, mask);
     if (q.sq_norm() == 0.f) continue;  // direction fully outside the mask
-    if (batch_oracle && res.queries + 2 <= params.max_queries) {
-      // Both signs in one forward. Decision order matches the sequential
-      // loop (+eps first), so the perturbation trajectory is identical.
-      Tensor cand_p = axpy(res.x_adv, +params.eps, q);
-      cand_p.clamp(0.f, 1.f);
-      Tensor cand_m = axpy(res.x_adv, -params.eps, q);
-      cand_m.clamp(0.f, 1.f);
-      Tensor pair({2, 3, x.dim(2), x.dim(3)});
-      std::copy(cand_p.data(), cand_p.data() + cand_p.numel(), pair.data());
-      std::copy(cand_m.data(), cand_m.data() + cand_m.numel(),
-                pair.data() + cand_p.numel());
-      const std::vector<float> s = batch_oracle(pair);
-      ADVP_CHECK_MSG(s.size() == 2, "simba: batch oracle must score 2 items");
-      res.queries += 2;  // both candidates hit the model
-      if (s[0] < best) {
-        best = s[0];
-        res.x_adv = std::move(cand_p);
-        ++res.accepted_directions;
-      } else if (s[1] < best) {
-        best = s[1];
-        res.x_adv = std::move(cand_m);
-        ++res.accepted_directions;
-      }
-      continue;
-    }
-    bool accepted = false;
     for (const float sign : {+1.f, -1.f}) {
       Tensor cand = axpy(res.x_adv, sign * params.eps, q);
       cand.clamp(0.f, 1.f);
@@ -106,13 +79,11 @@ SimbaResult simba(const Tensor& x, const SimbaParams& params,
       if (s < best) {
         best = s;
         res.x_adv = std::move(cand);
-        accepted = true;
         ++res.accepted_directions;
         break;  // SimBA moves on after a success
       }
       if (res.queries >= params.max_queries) break;
     }
-    (void)accepted;
   }
 
   res.score_after = best;

@@ -34,15 +34,8 @@ struct SimbaResult {
   float delta_sq_norm = 0.f;  ///< ||x_adv - x||_2^2 (bound: T*eps^2)
 };
 
-/// `batch_oracle`, when provided, lets each round evaluate the +eps/-eps
-/// candidate pair as one [2,3,H,W] forward (half the oracle round-trips).
-/// Both candidates still count as queries, so a batched run spends 2
-/// queries even where the sequential run accepts +eps after 1 — the
-/// accept/reject trajectory is unchanged, only the budget accounting
-/// differs. Opt-in for exactly that reason.
 SimbaResult simba(const Tensor& x, const SimbaParams& params,
                   const ScoreOracle& oracle, Rng& rng,
-                  const Tensor& mask = Tensor(),
-                  const BatchScoreOracle& batch_oracle = {});
+                  const Tensor& mask = Tensor());
 
 }  // namespace advp::attacks

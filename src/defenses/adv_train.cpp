@@ -49,25 +49,6 @@ attacks::GradOracle distance_oracle(models::DistNet& victim) {
   };
 }
 
-/// Batched counterpart: the summed-distance objective decomposes exactly
-/// per item (every row's logit gradient is the same constant), so one
-/// stacked forward/backward yields each candidate's loss and gradient.
-attacks::BatchGradOracle batch_distance_oracle(models::DistNet& victim) {
-  return [&victim](const Tensor& xb) {
-    const int n = xb.dim(0);
-    ADVP_OBS_COUNT(kAttackIterations, n);
-    victim.zero_grad();
-    auto r = victim.prediction_grad(xb);
-    std::vector<attacks::LossGrad> out(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      out[static_cast<std::size_t>(i)].loss =
-          r.per_item[static_cast<std::size_t>(i)];
-      out[static_cast<std::size_t>(i)].grad = attacks::batch_item(r.grad, i);
-    }
-    return out;
-  };
-}
-
 Tensor union_sign_mask(const data::SignScene& scene) {
   const int h = scene.image.height(), w = scene.image.width();
   Tensor mask({1, 3, h, w});
@@ -119,13 +100,7 @@ Image attack_sign_scene(const data::SignScene& scene, AttackKind kind,
       attacks::SimbaParams p;
       p.eps = params.simba_eps;
       p.max_queries = params.simba_queries;
-      attacks::BatchScoreOracle batch_score;
-      if (params.simba_batched)
-        batch_score = [&victim, &scene](const Tensor& xx) {
-          return victim.objectness_scores(xx, scene.stop_signs);
-        };
-      return Image::from_batch(
-          attacks::simba(x, p, score, rng, Tensor(), batch_score).x_adv, 0);
+      return Image::from_batch(attacks::simba(x, p, score, rng).x_adv, 0);
     }
   }
   return scene.image;
@@ -145,15 +120,6 @@ Image attack_driving_frame(const data::DrivingFrame& frame, AttackKind kind,
       return Image::from_batch(adv, 0);
     }
     case AttackKind::kFgsm: {
-      if (params.fgsm_restarts > 0) {
-        attacks::BatchGradOracle batch;
-        if (params.fgsm_batched) batch = batch_distance_oracle(victim);
-        Tensor adv = attacks::fgsm_restarts(x, {params.fgsm_eps},
-                                            params.fgsm_restarts, rng, oracle,
-                                            mask, batch)
-                         .x_adv;
-        return Image::from_batch(adv, 0);
-      }
       Tensor adv = attacks::fgsm(x, {params.fgsm_eps}, oracle, mask);
       return Image::from_batch(adv, 0);
     }
@@ -161,10 +127,7 @@ Image attack_driving_frame(const data::DrivingFrame& frame, AttackKind kind,
       attacks::AutoPgdParams p;
       p.eps = params.apgd_eps;
       p.steps = params.apgd_steps;
-      attacks::BatchGradOracle batch;
-      if (params.apgd_batched) batch = batch_distance_oracle(victim);
-      return Image::from_batch(
-          attacks::auto_pgd(x, p, oracle, mask, batch).x_adv, 0);
+      return Image::from_batch(attacks::auto_pgd(x, p, oracle, mask).x_adv, 0);
     }
     case AttackKind::kCapRp2: {
       attacks::CapParams p;

@@ -34,10 +34,6 @@ struct SignAttackParams {
   float rp2_delta_max = 0.15f;
   int simba_queries = 100;
   float simba_eps = 0.12f;
-  /// Evaluate SimBA's +/-eps candidate pair as one batched forward. Off by
-  /// default: batching spends both queries every round, shifting the
-  /// budget trajectory (and so the recorded goldens) versus sequential.
-  bool simba_batched = false;
 };
 
 struct DrivingAttackParams {
@@ -46,19 +42,6 @@ struct DrivingAttackParams {
   float apgd_eps = 0.10f;
   int apgd_steps = 20;
   int cap_warm_steps = 3;  ///< CAP steps when attacking an isolated frame
-  /// FGSM random restarts (0 = the paper's single-step FGSM). Restarts
-  /// change the attack — and the goldens — regardless of batching.
-  int fgsm_restarts = 0;
-  /// Evaluate the FGSM restart population as stacked forwards (two rounds
-  /// of restarts+1 candidates each). Bit-identical to sequential restart
-  /// evaluation and charges the same query count; off by default only to
-  /// mirror the simba_batched opt-in convention.
-  bool fgsm_batched = false;
-  /// Evaluate Auto-PGD's step-size candidate pair {z_k, x_{k+1}} as one
-  /// stacked forward per iteration. Off by default: the pair evaluation
-  /// also lets best-tracking see z_k, spending 2 oracle calls per step
-  /// and shifting the recorded goldens versus serial Auto-PGD.
-  bool apgd_batched = false;
 };
 
 /// @brief Attacks one sign scene with `kind` against `victim`.

@@ -204,26 +204,6 @@ float TinyYolo::objectness_score(
   return score;
 }
 
-std::vector<float> TinyYolo::objectness_scores(
-    const Tensor& batch, const std::vector<Box>& targets) {
-  const int n = batch.dim(0), g = config_.grid;
-  nn::InferenceModeScope inference;
-  nn::PrecisionScope fp32(GemmPrecision::kFp32);  // see objectness_score
-  Tensor raw = forward_raw(batch, /*train=*/false);
-  Tensor obj_target, pos_mask;
-  std::vector<std::vector<std::array<float, 4>>> box_t;
-  build_targets(std::vector<std::vector<Box>>(static_cast<std::size_t>(n),
-                                              targets),
-                n, &obj_target, &pos_mask, &box_t);
-  std::vector<float> scores(static_cast<std::size_t>(n), 0.f);
-  for (int b = 0; b < n; ++b)
-    for (int i = 0; i < g; ++i)
-      for (int j = 0; j < g; ++j)
-        if (pos_mask.at(b, 0, i, j) > 0.f)
-          scores[static_cast<std::size_t>(b)] += sigmoidf(raw.at(b, 0, i, j));
-  return scores;
-}
-
 void TinyYolo::calibrate(const std::vector<Tensor>& batches,
                          const nn::CalibrationOptions& opts) {
   // forward_raw walks backbone_ and head_, so one scoped pass records

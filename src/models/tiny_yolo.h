@@ -73,12 +73,6 @@ class TinyYolo {
   float objectness_score(const Tensor& batch,
                          const std::vector<std::vector<Box>>& targets);
 
-  /// Per-item objectness scores for a batch sharing one target set: one
-  /// forward pass, entry b equal to objectness_score on image b alone.
-  /// Lets black-box attacks evaluate several candidates per query round.
-  std::vector<float> objectness_scores(const Tensor& batch,
-                                       const std::vector<Box>& targets);
-
   /// Records per-layer activation ranges over `batches` (backbone and head
   /// alike) for the int8 inference tier; see nn::calibrate. Invalidates any
   /// packed/quantized weight panels.

@@ -275,9 +275,15 @@ std::uint64_t hash_payloads(const ParsedFile& pf) {
   return h;
 }
 
+// True when [off, off + len) does not fit in a file of `size` bytes. Never
+// forms off + len, which a forged offset near 2^64 would wrap past `size`.
+bool out_of_bounds(std::uint64_t off, std::uint64_t len, std::uint64_t size) {
+  return off > size || len > size - off;
+}
+
 // Strict structural parse: every return path other than kOk happens before
-// the caller touches a model. Bounds arithmetic is overflow-safe: counts
-// and offsets are checked against file size before any multiply can wrap.
+// the caller touches a model. Lengths are products of bounded counts that
+// cannot wrap u64, and every range goes through out_of_bounds.
 AdvpLoadResult parse_file(const std::string& path, bool use_mmap,
                           ParsedFile* out) {
   out->map = Mapping::open(path, use_mmap);
@@ -312,9 +318,9 @@ AdvpLoadResult parse_file(const std::string& path, bool use_mmap,
   const std::uint64_t stab_bytes =
       std::uint64_t{h.section_count} * sizeof(SectionEntry);
   if (h.param_table_off < h.header_bytes ||
-      h.param_table_off + ptab_bytes > size ||
+      out_of_bounds(h.param_table_off, ptab_bytes, size) ||
       h.section_table_off < h.header_bytes ||
-      h.section_table_off + stab_bytes > size)
+      out_of_bounds(h.section_table_off, stab_bytes, size))
     return fail(AdvpStatus::kMalformed, "table outside file bounds");
 
   out->params.resize(h.param_count);
@@ -330,18 +336,22 @@ AdvpLoadResult parse_file(const std::string& path, bool use_mmap,
     if (e.rank < 1 || e.rank > 4)
       return fail(AdvpStatus::kMalformed,
                   "parameter " + std::to_string(i) + ": bad rank");
+    // Dividing before each multiply keeps the shape product at or below
+    // kMaxNumel, so four large dims cannot wrap it onto a small numel.
+    constexpr std::uint64_t kMaxNumel = std::uint64_t{1} << 40;
     std::uint64_t numel = 1;
     for (std::uint32_t d = 0; d < e.rank; ++d) {
-      if (e.shape[d] <= 0)
+      if (e.shape[d] <= 0 ||
+          numel > kMaxNumel / static_cast<std::uint64_t>(e.shape[d]))
         return fail(AdvpStatus::kMalformed,
                     "parameter " + std::to_string(i) + ": bad shape");
       numel *= static_cast<std::uint64_t>(e.shape[d]);
     }
-    if (numel != e.numel || e.numel > (std::uint64_t{1} << 40))
+    if (numel != e.numel)
       return fail(AdvpStatus::kMalformed,
                   "parameter " + std::to_string(i) + ": numel mismatch");
     if (e.data_off % kAlign != 0 || e.data_off < h.header_bytes ||
-        e.data_off + e.numel * sizeof(float) > size)
+        out_of_bounds(e.data_off, e.numel * sizeof(float), size))
       return fail(AdvpStatus::kMalformed,
                   "parameter " + std::to_string(i) + ": payload out of "
                   "bounds or misaligned");
@@ -355,7 +365,7 @@ AdvpLoadResult parse_file(const std::string& path, bool use_mmap,
   for (std::size_t i = 0; i < out->sections.size(); ++i) {
     const SectionEntry& e = out->sections[i];
     if (e.offset % kAlign != 0 || e.offset < h.header_bytes ||
-        e.bytes > size || e.offset + e.bytes > size)
+        out_of_bounds(e.offset, e.bytes, size))
       return fail(AdvpStatus::kMalformed,
                   "section " + std::to_string(i) + ": out of bounds");
   }
@@ -738,10 +748,10 @@ AdvpLoadResult load_advp(const std::vector<Module*>& roots,
       layers[l].set_range(range);
     }
 
-  // Packed-panel adoption: only when the file carries panels, the build's
-  // panel geometry matches the writer's, and the pack cache is live. A
-  // geometry mismatch is not an error — the raw weights just packed above
-  // serve the slow (lazy repack) path with bit-identical results.
+  // Packed-panel adoption: only when the file carries panels and the
+  // build's panel geometry matches the writer's. A geometry mismatch is
+  // not an error — the raw weights just copied above serve the slow (lazy
+  // repack) path with bit-identical results.
   const bool geometry_ok =
       pf.header.panel_mr == static_cast<std::uint32_t>(gemm_panel_mr()) &&
       pf.header.panel_nr == static_cast<std::uint32_t>(gemm_panel_nr());
@@ -749,7 +759,7 @@ AdvpLoadResult load_advp(const std::vector<Module*>& roots,
       opts.adopt_tier >= 0 ? static_cast<GemmPrecision>(opts.adopt_tier)
                            : PrecisionScope::active();
   if (opts.adopt_packed && (pf.header.flags & kFlagHasPacked) &&
-      geometry_ok && pack_cache_enabled() && !layers.empty() &&
+      geometry_ok && !layers.empty() &&
       (tier == GemmPrecision::kFp32 || tier == GemmPrecision::kInt8)) {
     const auto tier_u = static_cast<std::uint32_t>(tier);
     // All-or-nothing: validate every layer's sections first.

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 
 #include "core/check.h"
 #include "core/obs.h"
@@ -55,19 +54,9 @@ constexpr std::size_t kMinStripeMacs = std::size_t{1} << 21;
 
 std::atomic<bool> g_force_portable{false};
 
-// Pack-cache control: a process-wide weight generation (bumped by optimizer
-// steps / parameter loads) plus the ADVP_PACK_CACHE kill-switch and its
-// test-hook override.
+// Pack-cache validity: a process-wide weight generation, bumped by
+// optimizer steps and parameter loads.
 std::atomic<std::uint64_t> g_weight_generation{1};
-std::atomic<int> g_force_pack_cache{-1};
-
-bool pack_cache_env_default() {
-  static const bool on = [] {
-    const char* e = std::getenv("ADVP_PACK_CACHE");
-    return !(e && e[0] == '0' && e[1] == '\0');
-  }();
-  return on;
-}
 
 inline int round_up(int v, int to) { return (v + to - 1) / to * to; }
 
@@ -1234,9 +1223,8 @@ void gemm_int8(int m, int n, int k, const float* a, int lda, bool trans_a,
   // Only the weight operand uses its cache slot (activations change every
   // call); the slot stores the quantized panels plus the per-channel
   // scales, so warm inference re-quantizes nothing.
-  const bool cache_on = pack_cache_enabled();
-  GemmCacheSlot* ac = cache_on && wa ? extra.a_cache : nullptr;
-  GemmCacheSlot* bc = cache_on && !wa ? extra.b_cache : nullptr;
+  GemmCacheSlot* ac = wa ? extra.a_cache : nullptr;
+  GemmCacheSlot* bc = wa ? nullptr : extra.b_cache;
 
   // ---- op(A) panels (weights when wa, activations otherwise) ----
   // Panels are int8 k-quads (see pack_a_int8): 0.25x the fp32 pack bytes.
@@ -1451,9 +1439,8 @@ void gemm(int m, int n, int k, const float* a, int lda, bool trans_a,
 
   MicroFn micro = pick_micro();
 
-  const bool cache_on = pack_cache_enabled();
-  GemmCacheSlot* ac = cache_on ? extra.a_cache : nullptr;
-  GemmCacheSlot* bc = cache_on ? extra.b_cache : nullptr;
+  GemmCacheSlot* ac = extra.a_cache;
+  GemmCacheSlot* bc = extra.b_cache;
 
   const std::size_t a_floats =
       static_cast<std::size_t>(round_up(m, kMr)) * k;
@@ -1555,11 +1542,6 @@ void bump_weight_generation() {
   g_weight_generation.fetch_add(1, std::memory_order_relaxed);
 }
 
-bool pack_cache_enabled() {
-  const int f = g_force_pack_cache.load(std::memory_order_relaxed);
-  return f < 0 ? pack_cache_env_default() : f != 0;
-}
-
 int gemm_panel_mr() { return kMr; }
 int gemm_panel_nr() { return kNr; }
 
@@ -1608,9 +1590,6 @@ bool adopt_packed_weights(GemmCacheSlot* slot, const PackedWeightSpec& spec,
                           const std::int32_t* comp) {
   if (!slot || !panels || !spec.src || spec.d0 <= 0 || spec.d1 <= 0)
     return false;
-  // With the cache kill-switch on, gemm() ignores slots entirely — there
-  // is no warm path to wire the image into.
-  if (!pack_cache_enabled()) return false;
   if (bytes != packed_weights_bytes(spec, p) || bytes == 0) return false;
   if (p == GemmPrecision::kInt8 && (!scales || !comp)) return false;
   slot->external = static_cast<const float*>(panels);
@@ -1649,10 +1628,6 @@ void force_portable(bool on) {
 }
 bool forcing_portable() {
   return g_force_portable.load(std::memory_order_relaxed);
-}
-void force_pack_cache(int mode) {
-  g_force_pack_cache.store(mode < 0 ? -1 : (mode != 0 ? 1 : 0),
-                           std::memory_order_relaxed);
 }
 }  // namespace gemm_detail
 

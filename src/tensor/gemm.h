@@ -10,12 +10,16 @@
 // auto-vectorizes otherwise.
 //
 // Determinism contract (the library's headline guarantee): for every
-// output element, the k-accumulation is one fused multiply-add per k, in
+// output element, the k-accumulation is one multiply-add per k, in
 // ascending k order, starting from C's prior value (or zero). The
-// micro-kernel loads C into its accumulator registers before each Kc
-// panel, so panel blocking never re-associates the sum — results are
-// bit-identical to the straightforward i-k-j loop, for any worker count,
-// any blocking geometry, and with the intrinsics path on or off.
+// multiply-add is fused where the build targets FMA (a Release build's
+// -march=native on any FMA-capable x86 host). Elsewhere the kernel and the
+// naive loop both round the product and then the sum, so they still agree
+// bit for bit with each other. The micro-kernel loads C into its
+// accumulator registers before each Kc panel, so panel blocking never
+// re-associates the sum — results are bit-identical to the
+// straightforward i-k-j loop, for any worker count, any blocking geometry,
+// and with the intrinsics path on or off.
 //
 // Transposed operands are handled inside the packing routines (reads are
 // re-strided while staging panels), so callers never materialize a
@@ -30,7 +34,7 @@
 //    generation). Layers hand their weight operand's slot to gemm(); while
 //    the weights are untouched the pack step is skipped entirely.
 //    Optimizer steps / weight loads bump the generation, so training
-//    correctness is untouched. ADVP_PACK_CACHE=0 disables all slots.
+//    correctness is untouched.
 //  - GemmEpilogue: bias add, optional eval-BatchNorm fold, and an optional
 //    activation applied to each C tile right after its final Kc panel is
 //    accumulated — one pass while the tile is cache-hot, replacing the
@@ -223,11 +227,6 @@ std::uint64_t weight_generation();
 /// parameter copies — any in-place weight mutation.
 void bump_weight_generation();
 
-/// @brief True when GemmCacheSlot reuse is active. Off when the process
-/// started with ADVP_PACK_CACHE=0 (the kill-switch restores PR 3's
-/// pack-every-call behaviour) or when the test hook forces it off.
-bool pack_cache_enabled();
-
 // ---- packed-weight export / adoption (.advp model format) ------------------
 //
 // The model serializer (nn/serialize) persists weight operands in the
@@ -291,9 +290,8 @@ void export_packed_weights(const PackedWeightSpec& spec, GemmPrecision p,
 /// is invalidated, repacked (any weight-generation bump), or destroyed;
 /// after a mismatch the slot never touches the pointer again. For kInt8
 /// the per-channel `scales`/`comp` arrays are copied into the slot.
-/// @return false — leaving the slot unchanged — when the pack cache is
-///   disabled (ADVP_PACK_CACHE=0), `bytes` does not match
-///   packed_weights_bytes(spec, p), or a required argument is null.
+/// @return false — leaving the slot unchanged — when `bytes` does not
+///   match packed_weights_bytes(spec, p) or a required argument is null.
 bool adopt_packed_weights(GemmCacheSlot* slot, const PackedWeightSpec& spec,
                           GemmPrecision p, const void* panels,
                           std::size_t bytes, const float* scales = nullptr,
@@ -313,10 +311,6 @@ namespace gemm_detail {
 /// builds, so one binary can assert the two paths agree bit-for-bit.
 void force_portable(bool on);
 bool forcing_portable();
-
-/// @brief Test/bench hook overriding the ADVP_PACK_CACHE environment
-/// default: 0 forces the cache off, 1 forces it on, -1 restores the env.
-void force_pack_cache(int mode);
 }  // namespace gemm_detail
 
 }  // namespace advp

@@ -126,22 +126,8 @@ TEST(FgsmTest, MaskConfinesPerturbation) {
     if (mask[i] == 0.f) EXPECT_FLOAT_EQ(adv[i], x[i]);
 }
 
-// Wraps a single-candidate oracle into a per-item batch oracle, counting
-// every candidate evaluated — the analytic stand-in for a model whose
-// batched forward is bit-identical per item.
-BatchGradOracle batch_of(const GradOracle& single, int* evals = nullptr) {
-  return [&single, evals](const Tensor& xb) {
-    std::vector<LossGrad> out;
-    for (int i = 0; i < xb.dim(0); ++i) {
-      out.push_back(single(batch_item(xb, i)));
-      if (evals) ++*evals;
-    }
-    return out;
-  };
-}
-
-// Nonlinear concave oracle J = -||x - target||^2: different starts give
-// different gradients, so restart candidates genuinely differ.
+// Nonlinear concave oracle J = -||x - target||^2: the gradient depends on
+// the point, so Auto-PGD's trajectory genuinely varies.
 GradOracle quadratic_oracle(const Tensor& target) {
   return [&target](const Tensor& x) {
     Tensor d = x - target;
@@ -149,57 +135,6 @@ GradOracle quadratic_oracle(const Tensor& target) {
     grad *= -2.f;
     return LossGrad{-d.sq_norm(), std::move(grad)};
   };
-}
-
-TEST(FgsmRestartTest, ZeroRestartsMatchesPlainFgsm) {
-  LinearOracle oracle({1, 3, 8, 8}, 11);
-  Tensor x = mid_image();
-  Rng rng(1);
-  FgsmRestartResult res = fgsm_restarts(x, {0.05f}, 0, rng, std::cref(oracle));
-  Tensor plain = fgsm(x, {0.05f}, std::cref(oracle));
-  for (std::size_t i = 0; i < x.numel(); ++i)
-    EXPECT_FLOAT_EQ(res.x_adv[i], plain[i]);
-  EXPECT_EQ(res.oracle_calls, 2);
-}
-
-TEST(FgsmRestartTest, BatchedMatchesSequentialExactly) {
-  Tensor target = Tensor::full({1, 3, 6, 6}, 0.9f);
-  GradOracle oracle = quadratic_oracle(target);
-  Tensor x = mid_image(6, 6);
-  Rng rng_seq(42), rng_bat(42);
-  FgsmRestartResult seq = fgsm_restarts(x, {0.08f}, 3, rng_seq, oracle);
-  int evals = 0;
-  FgsmRestartResult bat = fgsm_restarts(x, {0.08f}, 3, rng_bat, oracle,
-                                        Tensor(), batch_of(oracle, &evals));
-  EXPECT_FLOAT_EQ(seq.best_loss, bat.best_loss);
-  for (std::size_t i = 0; i < x.numel(); ++i)
-    EXPECT_FLOAT_EQ(seq.x_adv[i], bat.x_adv[i]);
-  EXPECT_EQ(seq.oracle_calls, 8);  // 2 rounds x 4 candidates
-  EXPECT_EQ(bat.oracle_calls, 8);
-  EXPECT_EQ(evals, 8);
-}
-
-TEST(FgsmRestartTest, BoundedAndNoWorseThanPlainStep) {
-  Tensor target = Tensor::full({1, 3, 6, 6}, 0.1f);
-  GradOracle oracle = quadratic_oracle(target);
-  Tensor x = mid_image(6, 6);
-  Rng rng(7);
-  FgsmRestartResult res = fgsm_restarts(x, {0.06f}, 4, rng, oracle);
-  Tensor d = res.x_adv - x;
-  EXPECT_LE(d.abs_max(), 0.06f + 1e-6f);
-  // Candidate 0 is the plain FGSM step, so the winner can't score below it.
-  EXPECT_GE(res.best_loss, oracle(fgsm(x, {0.06f}, oracle)).loss - 1e-6f);
-}
-
-TEST(FgsmRestartTest, MaskConfinesEveryCandidate) {
-  LinearOracle oracle({1, 3, 8, 8}, 12);
-  Tensor x = mid_image();
-  Tensor mask = make_box_mask(8, 8, Box{2, 2, 3, 3});
-  Rng rng(3);
-  FgsmRestartResult res =
-      fgsm_restarts(x, {0.05f}, 3, rng, std::cref(oracle), mask);
-  for (std::size_t i = 0; i < x.numel(); ++i)
-    if (mask[i] == 0.f) EXPECT_FLOAT_EQ(res.x_adv[i], x[i]);
 }
 
 TEST(AutoPgdTest, StaysInBallAndBeatsSingleStepOnLinear) {
@@ -246,28 +181,6 @@ TEST(AutoPgdTest, OracleCallAccountingIsExact) {
   AutoPgdResult res = auto_pgd(x, p, oracle);
   // Serial: initial + one per step + one re-evaluation per halving.
   EXPECT_EQ(res.oracle_calls, 1 + p.steps + res.step_halvings);
-}
-
-TEST(AutoPgdTest, BatchedPairNoWorseAndChargesBothCandidates) {
-  Tensor target = Tensor::full({1, 3, 4, 4}, 0.9f);
-  GradOracle oracle = quadratic_oracle(target);
-  Tensor x = mid_image(4, 4);
-  AutoPgdParams p;
-  p.eps = 0.1f;
-  p.steps = 10;
-  AutoPgdResult serial = auto_pgd(x, p, oracle);
-  int evals = 0;
-  AutoPgdResult batched =
-      auto_pgd(x, p, oracle, Tensor(), batch_of(oracle, &evals));
-  // The pair evaluation only adds z_k to best-tracking: never worse.
-  EXPECT_GE(batched.best_loss, serial.best_loss - 1e-6f);
-  // Initial + first step + 2 per remaining step + halving re-evaluations.
-  EXPECT_EQ(batched.oracle_calls,
-            2 + 2 * (p.steps - 1) + batched.step_halvings);
-  // The counter only charges batch items for the paired evaluations.
-  EXPECT_EQ(evals, 2 * (p.steps - 1));
-  Tensor d = batched.x_adv - x;
-  EXPECT_LE(d.abs_max(), p.eps + 1e-5f);
 }
 
 TEST(AutoPgdTest, MaskedPixelsUntouched) {
@@ -341,57 +254,6 @@ TEST(SimbaTest, MaskConfines) {
   SimbaResult res = simba(x, p, score, rng, mask);
   for (std::size_t i = 0; i < x.numel(); ++i)
     if (mask[i] == 0.f) EXPECT_FLOAT_EQ(res.x_adv[i], x[i]);
-}
-
-TEST(SimbaTest, BatchedPairMatchesSequentialTrajectory) {
-  Rng wrng(31);
-  Tensor hidden = Tensor::randn({1, 3, 4, 4}, wrng);
-  auto score = [&](const Tensor& x) { return -x.dot(hidden); };
-  // Batched oracle: the same `score` on every item of an [N,3,4,4] batch,
-  // so both runs see the same bits whatever the compiler contracts.
-  BatchScoreOracle batch_score = [&](const Tensor& x) {
-    std::vector<float> out;
-    for (int b = 0; b < x.dim(0); ++b) out.push_back(score(batch_item(x, b)));
-    return out;
-  };
-  Tensor x({1, 3, 4, 4});
-  x.fill(0.5f);
-  SimbaParams p;
-  p.eps = 0.05f;
-  p.basis = SimbaBasis::kPixel;
-  // Budget large enough that both runs exhaust the 48-direction basis:
-  // identical trajectories, different query accounting.
-  p.max_queries = 400;
-  Rng rng_seq(32), rng_bat(32);
-  SimbaResult seq = simba(x, p, score, rng_seq);
-  SimbaResult bat = simba(x, p, score, rng_bat, Tensor(), batch_score);
-  EXPECT_EQ(bat.accepted_directions, seq.accepted_directions);
-  // Batched spends 2 queries per round even where sequential accepted
-  // +eps after 1, so it can only cost more.
-  EXPECT_GE(bat.queries, seq.queries);
-  EXPECT_EQ(bat.score_after, seq.score_after);
-  ASSERT_TRUE(bat.x_adv.same_shape(seq.x_adv));
-  for (std::size_t i = 0; i < bat.x_adv.numel(); ++i)
-    ASSERT_EQ(bat.x_adv[i], seq.x_adv[i]) << "element " << i;
-}
-
-TEST(SimbaTest, BatchedPairCountsBothQueries) {
-  Rng wrng(33);
-  Tensor hidden = Tensor::randn({1, 3, 4, 4}, wrng);
-  auto score = [&](const Tensor& x) { return -x.dot(hidden); };
-  BatchScoreOracle batch_score = [&](const Tensor& x) {
-    // Scores that never improve: every round rejects both candidates.
-    return std::vector<float>(static_cast<std::size_t>(x.dim(0)), 1e9f);
-  };
-  Tensor x({1, 3, 4, 4});
-  x.fill(0.5f);
-  SimbaParams p;
-  p.basis = SimbaBasis::kPixel;
-  p.max_queries = 21;  // 1 baseline + 10 rejected pairs
-  Rng rng(34);
-  SimbaResult res = simba(x, p, score, rng, Tensor(), batch_score);
-  EXPECT_EQ(res.queries, 21);
-  EXPECT_EQ(res.accepted_directions, 0);
 }
 
 TEST(SimbaTest, DctBasisTouchesManyPixels) {

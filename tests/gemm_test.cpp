@@ -344,12 +344,6 @@ TEST(ScratchArenaTest, AllocationOutsideFrameThrows) {
 
 // ---- inference fast path ---------------------------------------------------
 
-// RAII guard for the pack-cache test hook; -1 restores the env default.
-struct ForcePackCache {
-  explicit ForcePackCache(int mode) { gemm_detail::force_pack_cache(mode); }
-  ~ForcePackCache() { gemm_detail::force_pack_cache(-1); }
-};
-
 // Applies the unfused equivalent of a GemmEpilogue: the bias scatter, the
 // eval batch-norm expression, and the activation as separate passes,
 // written exactly as the layer code writes them.
@@ -465,7 +459,6 @@ TEST(GemmFusedTest, EpilogueRejectsAccumulate) {
 }
 
 TEST(GemmPackCacheTest, ACacheReusedAndInvalidatedByGeneration) {
-  ForcePackCache on(1);
   ScopedMaxWorkers three(3);
   Rng rng(203);
   // 6.5M MACs: the stripes that read the cached A split over 3 workers.
@@ -509,7 +502,6 @@ TEST(GemmPackCacheTest, ACacheReusedAndInvalidatedByGeneration) {
 }
 
 TEST(GemmPackCacheTest, BCacheIsStripeGeometryIndependent) {
-  ForcePackCache on(1);
   Rng rng(204);
   // Wide B, Linear-like; 10.6M MACs, so the warm reads split into 2 and 5
   // stripes, neither on the cold read's stripe boundaries.
@@ -545,32 +537,8 @@ TEST(GemmPackCacheTest, BCacheIsStripeGeometryIndependent) {
   }
 }
 
-TEST(GemmPackCacheTest, DisabledModeIgnoresSlots) {
-  ForcePackCache off(0);  // what ADVP_PACK_CACHE=0 selects
-  Rng rng(205);
-  const int m = 48, k = 96, n = 200;
-  Tensor a = Tensor::randn({m, k}, rng);
-  Tensor b = Tensor::randn({k, n}, rng);
-  GemmCacheSlot slot;
-  GemmExtra extra;
-  extra.a_cache = &slot;
-  Tensor c1({m, n});
-  gemm(m, n, k, a.data(), k, false, b.data(), n, false, c1.data(), n,
-       false, extra);
-  EXPECT_EQ(slot.src, nullptr) << "slot populated while cache disabled";
-  // With the cache off, in-place edits are picked up with no bump.
-  a[0] += 1.f;
-  const std::vector<float> want =
-      ref_gemm(m, n, k, a.data(), k, false, b.data(), n, false);
-  Tensor c2({m, n});
-  gemm(m, n, k, a.data(), k, false, b.data(), n, false, c2.data(), n,
-       false, extra);
-  for (std::size_t i = 0; i < c2.numel(); ++i) ASSERT_EQ(c2[i], want[i]);
-}
-
 TEST(GemmPackCacheTest, CountersRecordHitsAndMisses) {
   if (obs::trace_disabled()) GTEST_SKIP() << "ADVP_TRACE=0";
-  ForcePackCache on(1);
   Rng rng(206);
   const int m = 48, k = 96, n = 200;
   Tensor a = Tensor::randn({m, k}, rng);

@@ -76,24 +76,6 @@ TEST(TinyYoloTest, ObjectnessScoreDropsWithLoss) {
   EXPECT_LE(s, 2.f);
 }
 
-TEST(TinyYoloTest, BatchedObjectnessMatchesPerItemScores) {
-  Rng rng(5);
-  TinyYolo model(small_yolo_cfg(), rng);
-  Tensor a = Tensor::rand({1, 3, 48, 48}, rng);
-  Tensor b = Tensor::rand({1, 3, 48, 48}, rng);
-  const std::vector<Box> targets = {Box{8, 8, 12, 12}, Box{30, 30, 10, 10}};
-  const float sa = model.objectness_score(a, {targets});
-  const float sb = model.objectness_score(b, {targets});
-  Tensor pair({2, 3, 48, 48});
-  std::copy(a.data(), a.data() + a.numel(), pair.data());
-  std::copy(b.data(), b.data() + b.numel(), pair.data() + a.numel());
-  const std::vector<float> s = model.objectness_scores(pair, targets);
-  ASSERT_EQ(s.size(), 2u);
-  // One batched forward scores each item exactly as a solo forward does.
-  EXPECT_EQ(s[0], sa);
-  EXPECT_EQ(s[1], sb);
-}
-
 TEST(NmsTest, SuppressesOverlapsKeepsDistinct) {
   std::vector<Detection> dets = {
       {Box{0, 0, 10, 10}, 0.9f},

@@ -2,16 +2,19 @@
 // tiers and worker counts, strict rejection of corrupt/truncated/foreign
 // files (with the destination model left untouched), panel adoption and
 // mapping lifetime, the zoo's `.advp`-first weight cache, serving tenants
-// registered from a file, the committed golden fixture, and the legacy
-// stream's truncation/trailing-bytes regression tests.
+// registered from a file, the committed golden fixture, a sweep forging
+// every table field of that fixture, and the legacy stream's
+// truncation/trailing-bytes regression tests.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/check.h"
@@ -112,6 +115,27 @@ void expect_bitwise_equal(const Tensor& a, const Tensor& b,
   EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)))
       << what;
 }
+
+// Little-endian field access into a container image (offsets per
+// docs/model_format.md).
+template <typename T>
+T get_field(const std::vector<unsigned char>& b, std::size_t at) {
+  T v;
+  std::memcpy(&v, b.data() + at, sizeof(T));
+  return v;
+}
+template <typename T>
+void put_field(std::vector<unsigned char>& b, std::size_t at, T v) {
+  std::memcpy(b.data() + at, &v, sizeof(T));
+}
+
+// Header and table-entry layout used by the forging tests.
+constexpr std::size_t kHeaderParamCount = 16;
+constexpr std::size_t kHeaderSectionCount = 20;
+constexpr std::size_t kHeaderParamTableOff = 48;
+constexpr std::size_t kHeaderSectionTableOff = 56;
+constexpr std::size_t kParamEntryBytes = 48;
+constexpr std::size_t kSectionEntryBytes = 64;
 
 // ---- legacy stream regressions ---------------------------------------------
 
@@ -266,11 +290,29 @@ class AdvpRejection : public ::testing::Test {
         << what << ": failed load mutated the model";
   }
 
+  // expect_reject plus the model-free readers: read_advp_info and
+  // verify_advp must report kMalformed for the same bytes.
+  void expect_malformed_everywhere(const std::vector<unsigned char>& bytes,
+                                   const std::string& what) {
+    expect_reject(bytes, nn::AdvpStatus::kMalformed, what.c_str());
+    const std::string path = temp_file("reject_variant.advp");
+    nn::AdvpInfo info;
+    EXPECT_EQ(nn::read_advp_info(path, &info).status,
+              nn::AdvpStatus::kMalformed)
+        << what << ": read_advp_info";
+    EXPECT_EQ(nn::verify_advp(path).status, nn::AdvpStatus::kMalformed)
+        << what << ": verify_advp";
+  }
+
   std::unique_ptr<models::TinyYolo> src_;
   std::string path_;
   std::uint64_t hash_ = 0;
   std::vector<unsigned char> bytes_;
 };
+
+// 2^64 - 64: 64-byte aligned and past every header offset, so only a
+// range check that cannot wrap (rule 3) rejects it.
+constexpr std::uint64_t kWrappingOffset = ~std::uint64_t{0} - 63;
 
 TEST_F(AdvpRejection, Absent) {
   Rng rng(23);
@@ -322,6 +364,54 @@ TEST_F(AdvpRejection, PayloadCorruptionFailsHash) {
   EXPECT_EQ(nn::verify_advp(path_).status, nn::AdvpStatus::kOk);
 }
 
+TEST_F(AdvpRejection, ParamTableOffsetNearTwoTo64) {
+  auto b = bytes_;
+  put_field(b, kHeaderParamTableOff, kWrappingOffset);
+  expect_malformed_everywhere(b, "param_table_off = 2^64 - 64");
+}
+
+TEST_F(AdvpRejection, SectionTableOffsetNearTwoTo64) {
+  auto b = bytes_;
+  put_field(b, kHeaderSectionTableOff, kWrappingOffset);
+  expect_malformed_everywhere(b, "section_table_off = 2^64 - 64");
+}
+
+TEST_F(AdvpRejection, ParamDataOffsetNearTwoTo64) {
+  const auto count = get_field<std::uint32_t>(bytes_, kHeaderParamCount);
+  const auto ptab = get_field<std::uint64_t>(bytes_, kHeaderParamTableOff);
+  ASSERT_GT(count, 0u);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    auto b = bytes_;
+    put_field(b, ptab + i * kParamEntryBytes + 8, kWrappingOffset);
+    expect_malformed_everywhere(
+        b, "parameter " + std::to_string(i) + " data_off = 2^64 - 64");
+  }
+}
+
+TEST_F(AdvpRejection, SectionOffsetNearTwoTo64) {
+  const auto count = get_field<std::uint32_t>(bytes_, kHeaderSectionCount);
+  const auto stab = get_field<std::uint64_t>(bytes_, kHeaderSectionTableOff);
+  ASSERT_GT(count, 0u);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    auto b = bytes_;
+    put_field(b, stab + i * kSectionEntryBytes + 16, kWrappingOffset);
+    expect_malformed_everywhere(
+        b, "section " + std::to_string(i) + " offset = 2^64 - 64");
+  }
+}
+
+// Four dims of 2^16 multiply to 2^64, which wraps to a numel of 0: the
+// entry must still read as inconsistent (rule 3).
+TEST_F(AdvpRejection, ShapeProductWrappingOntoNumel) {
+  auto b = bytes_;
+  const auto e = get_field<std::uint64_t>(bytes_, kHeaderParamTableOff);
+  put_field(b, e + 16, std::uint64_t{0});  // numel
+  put_field(b, e + 24, std::uint32_t{4});  // rank
+  for (int d = 0; d < 4; ++d)
+    put_field(b, e + 28 + 4 * d, std::int32_t{65536});  // shape[d]
+  expect_malformed_everywhere(b, "shape 2^16 x 4, numel 0");
+}
+
 TEST_F(AdvpRejection, ModelShapeMismatch) {
   // A structurally different destination: parameter shapes cannot match.
   models::TinyYoloConfig other = small_config();
@@ -349,10 +439,6 @@ TEST(AdvpAdoption, AdoptedLoadRetainsMappingAndSurvivesRelease) {
   opts.adopt_tier = static_cast<int>(GemmPrecision::kFp32);
   const auto r = models::load_detector_advp(dst, path, opts);
   ASSERT_TRUE(r.ok()) << r.error;
-  if (!advp::pack_cache_enabled()) {
-    EXPECT_FALSE(r.packed_adopted);
-    return;  // kill-switch leg: nothing to adopt into
-  }
   ASSERT_TRUE(r.packed_adopted);
   EXPECT_EQ(r.adopted_tier, GemmPrecision::kFp32);
   EXPECT_GT(nn::advp_mapped_bytes(), mapped_before);
@@ -371,7 +457,6 @@ TEST(AdvpAdoption, ExplicitTierSelection) {
   models::TinyYolo src = calibrated_model(33);
   const std::string path = temp_file("adopt_tier.advp");
   models::save_detector_advp(src, path);
-  if (!advp::pack_cache_enabled()) GTEST_SKIP() << "pack cache disabled";
 
   for (const GemmPrecision tier :
        {GemmPrecision::kFp32, GemmPrecision::kInt8}) {
@@ -582,7 +667,6 @@ TEST(AdvpGolden, ResavedGoldenModelHasNoTier1AndAdoptsBothTiers) {
                           << s.layer;
   EXPECT_EQ(count_panel_sections(info, 0), 4);
   EXPECT_EQ(count_panel_sections(info, 2), 4);
-  if (!advp::pack_cache_enabled()) GTEST_SKIP() << "pack cache disabled";
 
   const Tensor frame = test_frame(80);
   for (const GemmPrecision tier :
@@ -599,6 +683,212 @@ TEST(AdvpGolden, ResavedGoldenModelHasNoTier1AndAdoptsBothTiers) {
                          eval_forward(dst, frame, tier),
                          "resaved golden forward diverges");
   }
+}
+
+// ---- field-perturbation sweep ----------------------------------------------
+
+enum class FieldType { kU64, kU32, kI32 };
+
+struct FieldRef {
+  std::string name;
+  std::size_t at = 0;
+  FieldType type = FieldType::kU32;
+};
+
+// Every header field and every parameter- and section-entry field of the
+// container, reserved words excepted (they are ignored on read). Shape
+// dims and the section d0/d1/ld are the i32 fields.
+std::vector<FieldRef> container_fields(const std::vector<unsigned char>& b) {
+  std::vector<FieldRef> out = {
+      {"magic", 0, FieldType::kU32},
+      {"version", 4, FieldType::kU32},
+      {"header_bytes", 8, FieldType::kU32},
+      {"flags", 12, FieldType::kU32},
+      {"param_count", kHeaderParamCount, FieldType::kU32},
+      {"section_count", kHeaderSectionCount, FieldType::kU32},
+      {"content_hash", 24, FieldType::kU64},
+      {"panel_mr", 32, FieldType::kU32},
+      {"panel_nr", 36, FieldType::kU32},
+      {"file_bytes", 40, FieldType::kU64},
+      {"param_table_off", kHeaderParamTableOff, FieldType::kU64},
+      {"section_table_off", kHeaderSectionTableOff, FieldType::kU64},
+  };
+  const auto ptab = get_field<std::uint64_t>(b, kHeaderParamTableOff);
+  const auto stab = get_field<std::uint64_t>(b, kHeaderSectionTableOff);
+  const auto params = get_field<std::uint32_t>(b, kHeaderParamCount);
+  const auto sections = get_field<std::uint32_t>(b, kHeaderSectionCount);
+  for (std::uint32_t i = 0; i < params; ++i) {
+    const std::size_t e = ptab + i * kParamEntryBytes;
+    const std::string p = "param[" + std::to_string(i) + "].";
+    out.push_back({p + "name_off", e, FieldType::kU64});
+    out.push_back({p + "data_off", e + 8, FieldType::kU64});
+    out.push_back({p + "numel", e + 16, FieldType::kU64});
+    out.push_back({p + "rank", e + 24, FieldType::kU32});
+    for (int d = 0; d < 4; ++d)
+      out.push_back({p + "shape[" + std::to_string(d) + "]", e + 28 + 4 * d,
+                     FieldType::kI32});
+  }
+  for (std::uint32_t i = 0; i < sections; ++i) {
+    const std::size_t e = stab + i * kSectionEntryBytes;
+    const std::string p = "section[" + std::to_string(i) + "].";
+    out.push_back({p + "kind", e, FieldType::kU32});
+    out.push_back({p + "tier", e + 4, FieldType::kU32});
+    out.push_back({p + "layer", e + 8, FieldType::kU32});
+    out.push_back({p + "role", e + 12, FieldType::kU32});
+    out.push_back({p + "offset", e + 16, FieldType::kU64});
+    out.push_back({p + "bytes", e + 24, FieldType::kU64});
+    out.push_back({p + "d0", e + 32, FieldType::kI32});
+    out.push_back({p + "d1", e + 36, FieldType::kI32});
+    out.push_back({p + "ld", e + 40, FieldType::kI32});
+    out.push_back({p + "trans", e + 44, FieldType::kU32});
+  }
+  return out;
+}
+
+// The values each field type is forged to: wrap-around and sign-bit
+// offsets, the file size and one past it, zero and one, and the extremes.
+std::vector<std::uint64_t> forged_values(FieldType type,
+                                         std::uint64_t file_size) {
+  switch (type) {
+    case FieldType::kU64:
+      return {~std::uint64_t{0} - 63, std::uint64_t{1} << 63, file_size,
+              file_size + 64, std::uint64_t{1} << 32, 0};
+    case FieldType::kU32:
+      return {0xffffffffu, std::uint64_t{1} << 31, 0, 1, file_size};
+    case FieldType::kI32:
+      return {static_cast<std::uint32_t>(-1), 0x7fffffffu, 0, 1};
+  }
+  return {};
+}
+
+// True when a loader finds the model-level calibration section in `info`.
+bool has_calibration(const nn::AdvpInfo& info) {
+  for (const nn::AdvpSectionInfo& s : info.sections)
+    if (s.kind == static_cast<std::uint32_t>(nn::AdvpSection::kCalibration) &&
+        s.tier == 0 && s.layer == 0)
+      return true;
+  return false;
+}
+
+// ROADMAP item 7's field sweep over the committed fixture: each case sets
+// one table field to one forged value, then loads the file into a fresh
+// detector at fp32 and at int8. Every case must be rejected with the
+// detector untouched, or load and forward bit-identically to the clean
+// file. One exception is checked as such: a forged file can lose its
+// calibration section (its entry's kind, tier or layer forged, or
+// section_count cut) and still be valid, like a file converted from a
+// legacy stream; the fresh detector then has no int8 ranges, so its fp32
+// forward must match and its int8 forward must refuse. The model-free
+// readers run on every case too, so under ASan any read outside the file
+// fails here.
+TEST(AdvpFieldSweep, EveryTableFieldLoadsIdenticallyOrIsRejected) {
+  const std::string golden = std::string(ADVP_GOLDEN_DIR) + "/tiny.advp";
+  const std::vector<unsigned char> clean = read_file(golden);
+  ASSERT_GT(clean.size(), 64u);
+  const std::string path = temp_file("sweep.advp");
+  const Tensor frame = test_frame(80);
+  const GemmPrecision tiers[] = {GemmPrecision::kFp32, GemmPrecision::kInt8};
+
+  // Loads `path` into a fresh detector at `tier`. Returns the load status;
+  // on success `out` holds the forward, or stays empty when the forward
+  // refused for want of calibration.
+  auto load_and_forward = [&](GemmPrecision tier, Tensor* out) {
+    Rng rng(90);
+    models::TinyYolo dst(small_config(), rng);
+    const std::uint64_t before = nn::param_fingerprint(dst.params());
+    nn::AdvpLoadOptions opts;
+    opts.adopt_tier = static_cast<int>(tier);
+    const nn::AdvpStatus status =
+        models::load_detector_advp(dst, path, opts).status;
+    if (status != nn::AdvpStatus::kOk) {
+      EXPECT_EQ(nn::param_fingerprint(dst.params()), before)
+          << "rejected load mutated the model";
+      return status;
+    }
+    try {
+      *out = eval_forward(dst, frame, tier);
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("calibrated activation scale"),
+                std::string::npos)
+          << e.what();
+    }
+    return status;
+  };
+
+  nn::advp_release_mappings();
+  write_file(path, clean);
+  Tensor reference[2];
+  for (int t = 0; t < 2; ++t) {
+    ASSERT_EQ(load_and_forward(tiers[t], &reference[t]), nn::AdvpStatus::kOk);
+    ASSERT_FALSE(reference[t].empty());
+  }
+
+  int cases = 0, identical = 0, rejected = 0, uncalibrated = 0;
+  for (const FieldRef& f : container_fields(clean)) {
+    for (const std::uint64_t v : forged_values(f.type, clean.size())) {
+      std::vector<unsigned char> bytes = clean;
+      if (f.type == FieldType::kU64) {
+        if (get_field<std::uint64_t>(bytes, f.at) == v) continue;
+        put_field(bytes, f.at, v);
+      } else {
+        const auto v32 = static_cast<std::uint32_t>(v);
+        if (get_field<std::uint32_t>(bytes, f.at) == v32) continue;
+        put_field(bytes, f.at, v32);
+      }
+      ++cases;
+      SCOPED_TRACE(f.name + " = " + std::to_string(v));
+      // Adoption kept the previous case's file mapped. Drop the mapping
+      // before the rewrite truncates the file: a read through a private
+      // mapping past a truncated file's end faults.
+      nn::advp_release_mappings();
+      write_file(path, bytes);
+
+      nn::AdvpInfo info;
+      const bool info_ok = nn::read_advp_info(path, &info).ok();
+      const bool verify_ok = nn::verify_advp(path).ok();
+      int loads = 0, same = 0, refused = 0;
+      for (int t = 0; t < 2; ++t) {
+        Tensor out;
+        if (load_and_forward(tiers[t], &out) != nn::AdvpStatus::kOk) continue;
+        ++loads;
+        if (out.empty()) {
+          ++refused;
+          EXPECT_EQ(tiers[t], GemmPrecision::kInt8);
+          continue;
+        }
+        const bool equal =
+            out.numel() == reference[t].numel() &&
+            std::memcmp(out.data(), reference[t].data(),
+                        out.numel() * sizeof(float)) == 0;
+        EXPECT_TRUE(equal) << "loads with a different forward at "
+                           << advp::precision_name(tiers[t]);
+        same += equal;
+      }
+      EXPECT_TRUE(loads == 0 || loads == 2)
+          << "loads at one tier but not the other";
+      if (loads == 0) {
+        ++rejected;
+        continue;
+      }
+      EXPECT_TRUE(info_ok && verify_ok)
+          << "loads, but a model-free reader rejects it";
+      if (refused) {
+        EXPECT_FALSE(has_calibration(info))
+            << "int8 refused although the file carries calibration";
+        ++uncalibrated;
+      } else if (same == 2) {
+        ++identical;
+      }
+    }
+  }
+  nn::advp_release_mappings();
+  std::printf(
+      "[sweep] %d cases: %d load identically, %d rejected, %d load without "
+      "calibration\n",
+      cases, identical, rejected, uncalibrated);
+  EXPECT_EQ(identical + rejected + uncalibrated, cases);
+  EXPECT_GT(identical, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace
